@@ -2,8 +2,9 @@
 
 Exit codes are uniform across subcommands: 0 success or positive result,
 1 negative result (unsatisfiable, invalid, failed check), 2 usage or
-parse error, 3 budget exceeded.  Outputs carry no timestamps; identical
-invocations produce byte-identical output.
+parse error (including input nested too deeply), 3 budget exceeded.
+Outputs carry no timestamps; identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -301,12 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Oracle-relativized propositional calculus toolkit",
     )
     parser.add_argument("--version", action="version", version=_version_text())
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="reserved for parallel evaluation; the current implementation is sequential",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="echo the canonical form of formulas/sequents")
@@ -385,6 +380,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -402,25 +402,40 @@ def fold_assign(f: Formula, env: dict[str, int]) -> Formula:
 def atom_names_fast(f: Formula) -> set[str]:
     """Names of all atoms in a quantifier-free formula (all are free)."""
     out: set[str] = set()
-    for g in walk(f):
-        if isinstance(g, Atom):
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        kind = type(g)
+        if kind is Atom:
             out.add(g.name)
+        elif kind is Not:
+            stack.append(g.child)
+        elif kind is And or kind is Or:
+            stack.append(g.left)
+            stack.append(g.right)
+        elif kind is RApp:
+            stack.extend(g.args)
     return out
 
 
-def constant_fold(f: Formula) -> Formula:
-    return fold_assign(f, {})
-
-
-def flatten_and(f: Formula) -> list[Formula]:
-    """Top-level conjuncts of f, left to right."""
+def _flatten(f: Formula, kind: type) -> list[Formula]:
     out: list[Formula] = []
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, And):
+        if isinstance(g, kind):
             stack.append(g.right)
             stack.append(g.left)
         else:
             out.append(g)
     return out
+
+
+def flatten_and(f: Formula) -> list[Formula]:
+    """Top-level conjuncts of f, left to right."""
+    return _flatten(f, And)
+
+
+def flatten_or(f: Formula) -> list[Formula]:
+    """Top-level disjuncts of f, left to right."""
+    return _flatten(f, Or)

@@ -5,15 +5,16 @@ strings as the oracle; strings not listed are out.  Satisfiability for
 quantifier-free formulas searches certificates: an atom assignment plus
 an in/out choice per distinct queried string (occurrences whose argument
 vectors evaluate to the same string share one choice).  The pi1 solver
-expands the universal prefix and decides the resulting ground constraints
-by unit propagation with chronological backtracking.
+expands the universal prefix, forcing the universals that a guard fixes
+instead of branching on them, and decides the resulting ground
+constraints by unit propagation with chronological backtracking.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -33,6 +34,7 @@ from .formulas import (
     all_names,
     atom_names_fast,
     flatten_and,
+    flatten_or,
     fold_assign,
     free_atoms,
     is_quantifier_free,
@@ -213,7 +215,8 @@ def sequent_valid(s: Sequent) -> bool:
 
 @dataclass(frozen=True)
 class SolverLimits:
-    """Desk-scale budgets for the expansion solver."""
+    """Desk-scale budgets for the expansion solver.  max_structures
+    bounds the instances the expansion folds, pruned ones included."""
 
     max_universal_vars: int = 22
     max_oracle_strings: int = 4096
@@ -233,9 +236,15 @@ BUDGET_EXCEEDED = "budget_exceeded"
 
 @dataclass(frozen=True)
 class Pi1Result:
+    """Outcome of sat_pi1.  `stats` holds the expansion counters: folds
+    (instances folded), leaves (ground instances reached), forced
+    (universal values forced instead of branched on), branches and
+    ground_constraints (distinct constraints handed to the solver)."""
+
     status: str
     witness: Optional[Structure] = None
     reason: str = ""
+    stats: dict = field(default_factory=dict, compare=False)
 
 
 class UnsupportedShapeError(ValueError):
@@ -309,10 +318,23 @@ def pull_universals(f: Formula) -> tuple[tuple[str, ...], Formula]:
 
 
 def _constraint_strings(f: Formula) -> set[str]:
+    """Strings of the constant-argument R applications in a
+    quantifier-free formula."""
     out = set()
-    for g in walk(f):
-        if isinstance(g, RApp) and all(isinstance(a, Const) for a in g.args):
-            out.add("".join(str(a.bit) for a in g.args))
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        kind = type(g)
+        if kind is Not:
+            stack.append(g.child)
+        elif kind is And or kind is Or:
+            stack.append(g.left)
+            stack.append(g.right)
+        elif kind is RApp:
+            if all(type(a) is Const for a in g.args):
+                out.add("".join(str(a.bit) for a in g.args))
+            else:
+                stack.extend(g.args)
     return out
 
 
@@ -320,38 +342,145 @@ class _Budget(Exception):
     pass
 
 
+def _expansion_counters() -> dict:
+    return {"folds": 0, "leaves": 0, "forced": 0, "branches": 0, "strings": set()}
+
+
+def _guard_of(g: Formula) -> tuple[list[Formula], list[str]]:
+    """Split an instance into its top-level disjuncts.  Returns the
+    conjuncts G_i of every negated disjunct ~(G_1 & ... & G_k), which
+    together form the guard, and the atoms that are bare disjuncts."""
+    guard: list[Formula] = []
+    bare: list[str] = []
+    for d in flatten_or(g):
+        if isinstance(d, Not):
+            guard.extend(flatten_and(d.child))
+        elif isinstance(d, Atom):
+            bare.append(d.name)
+    return guard, bare
+
+
+def _force(
+    guard: list[Formula], bare: list[str], universals: frozenset[str], env: dict[str, int]
+) -> Optional[tuple[dict[str, int], list[Formula]]]:
+    """Extend env by every universal value whose other value makes the
+    instance 1: a bare atom disjunct x forces x = 0, and a literal among
+    the guard conjuncts forces the value that keeps it true.  Works on
+    the guard alone and repeats until nothing new is forced.  Returns
+    the extended env and the folded guard, or None when every value of
+    some universal makes the instance 1."""
+    env = dict(env)
+    for name in bare:
+        if name in universals:
+            if env.get(name) == 1:
+                return None
+            env[name] = 0
+    pending = env
+    while True:
+        forced: dict[str, int] = {}
+        kept: list[Formula] = []
+        for c in guard:
+            if pending:
+                c = fold_assign(c, pending)
+                if isinstance(c, Const):
+                    if c.bit == 0:
+                        return None
+                    continue
+            unit = _as_literal(c)
+            if unit is not None and unit[0][0] == "a" and unit[0][1] in universals:
+                (_, name), bit = unit
+                if forced.setdefault(name, bit) != bit:
+                    return None
+                continue
+            kept.append(c)
+        guard = kept
+        if not forced:
+            return env, guard
+        env.update(forced)
+        pending = forced
+
+
+def _defined(guard: list[Formula]) -> set[str]:
+    """Variables x with both halves ~x | e and ~e | x of a biconditional
+    x <=> e among the guard conjuncts (Tseitin-style gate definitions)."""
+    halves: set[tuple[str, Formula]] = set()
+    converse: set[tuple[str, Formula]] = set()
+    for c in guard:
+        if isinstance(c, Or) and isinstance(c.left, Not):
+            if isinstance(c.left.child, Atom):
+                halves.add((c.left.child.name, c.right))
+            if isinstance(c.right, Atom):
+                converse.add((c.right.name, c.left.child))
+    return {name for name, _ in halves & converse}
+
+
 def _expand(conjunct: Formula, support: list[str], limits: SolverLimits, counters: dict) -> list[Formula]:
-    """All ground instances of `conjunct` over its universal support.
-    Branches whose instance folds to 1 are pruned, and variables no
-    longer occurring are skipped; the surviving instances are exactly
-    the non-trivial constraints of the full expansion."""
-    out: list[Formula] = []
+    """The distinct ground instances of `conjunct` over its universal
+    support that do not fold to 1, each once, in first-found order.
+
+    The expansion never enters a branch whose instance folds to 1.  At
+    each step the instance is split into its top-level disjuncts; the
+    negated ones, ~(G_1 & ... & G_k), form its guard.  A universal that
+    is a bare literal disjunct or a literal G_i has one value that makes
+    the instance 1, so only the other value is taken.  Forcing repeats
+    on the small guard alone, and the whole instance is then folded once
+    with every forced value.  When nothing is forced, the expansion
+    branches on the first universal in support order that no guard
+    biconditional x <=> e defines, so circuit inputs are branched on and
+    gate and output variables are forced as their definitions become
+    ground.  Every folded instance counts against max_structures."""
+    out: dict[Formula, None] = {}
+    universals = frozenset(support)
+
+    def fold(g: Formula, env: dict[str, int]) -> Formula:
+        counters["folds"] += 1
+        if counters["folds"] > limits.max_structures:
+            raise _Budget("expansion exceeded max_structures")
+        return fold_assign(g, env)
 
     def leaf(g: Formula) -> None:
         counters["leaves"] += 1
-        if counters["leaves"] > limits.max_structures:
-            raise _Budget("expansion exceeded max_structures")
+        known = len(out)
+        out.setdefault(g)
+        if len(out) == known:
+            return
         counters["strings"] |= _constraint_strings(g)
         if len(counters["strings"]) > limits.max_oracle_strings:
             raise _Budget("expansion exceeded max_oracle_strings")
-        out.append(g)
 
-    def rec(g: Formula, remaining: list[str]) -> None:
+    def visit(g: Formula, remaining: list[str]) -> None:
         if isinstance(g, Const):
             if g.bit == 0:
-                out.append(FALSE)
+                out.setdefault(FALSE)
             return
-        present_names = atom_names_fast(g)
-        remaining = [v for v in remaining if v in present_names]
+        if remaining:
+            present_names = atom_names_fast(g)
+            remaining = [v for v in remaining if v in present_names]
         if not remaining:
             leaf(g)
             return
-        var = remaining[0]
+        guard, bare = _guard_of(g)
+        settled = _force(guard, bare, universals, {})
+        if settled is None:
+            return
+        forced, guard = settled
+        if forced:
+            counters["forced"] += len(forced)
+            visit(fold(g, forced), remaining)
+            return
+        defined = _defined(guard)
+        var = next((v for v in remaining if v not in defined), remaining[0])
+        counters["branches"] += 1
         for bit in (0, 1):
-            rec(fold_assign(g, {var: bit}), remaining[1:])
+            settled = _force(guard, bare, universals, {var: bit})
+            if settled is None:
+                continue
+            env = settled[0]
+            counters["forced"] += len(env) - 1
+            visit(fold(g, env), remaining)
 
-    rec(fold_assign(conjunct, {}), list(support))
-    return out
+    visit(fold(conjunct, {}), list(support))
+    return list(out)
 
 
 def _as_literal(g: Formula) -> Optional[tuple[tuple[str, str], int]]:
@@ -549,8 +678,14 @@ def sat_pi1(f: Formula, limits: SolverLimits = DEFAULT_LIMITS) -> Pi1Result:
             BUDGET_EXCEEDED,
             reason=f"{len(uvars)} universal variables exceed limit {limits.max_universal_vars}",
         )
-    counters = {"leaves": 0, "strings": set()}
+    counters = _expansion_counters()
     constraints: list[Formula] = []
+
+    def stats() -> dict:
+        out = {k: v for k, v in counters.items() if k != "strings"}
+        out["ground_constraints"] = len(constraints)
+        return out
+
     try:
         for conjunct in flatten_and(matrix):
             conjunct_free = free_atoms(conjunct)
@@ -558,14 +693,14 @@ def sat_pi1(f: Formula, limits: SolverLimits = DEFAULT_LIMITS) -> Pi1Result:
             constraints.extend(_expand(conjunct, support, limits, counters))
         solution = _solve_constraints(constraints, limits)
     except _Budget as exc:
-        return Pi1Result(BUDGET_EXCEEDED, reason=str(exc))
+        return Pi1Result(BUDGET_EXCEEDED, reason=str(exc), stats=stats())
     if solution is None:
-        return Pi1Result(UNSAT)
+        return Pi1Result(UNSAT, stats=stats())
     atoms, strings = solution
     original_free = free_atoms(f)
     assignment = {name: atoms.get(name, 0) for name in sorted(original_free)}
     oracle = frozenset(s for s, bit in strings.items() if bit == 1)
-    return Pi1Result(SAT, witness=Structure(assignment, oracle))
+    return Pi1Result(SAT, witness=Structure(assignment, oracle), stats=stats())
 
 
 def holds_universally(
@@ -576,7 +711,7 @@ def holds_universally(
     if free_atoms(f):
         raise ValueError("holds_universally expects a closed formula")
     uvars, matrix = pull_universals(f)
-    counters = {"leaves": 0, "strings": set()}
+    counters = _expansion_counters()
     oracle = structure.oracle
     for conjunct in flatten_and(matrix):
         conjunct_free = free_atoms(conjunct)

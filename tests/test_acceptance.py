@@ -44,6 +44,7 @@ from rpcalc.semantics import (
     Structure,
     all_strings,
     eval_formula,
+    holds_universally,
     sat_pc,
     valid_pc,
     valid_q_bruteforce,
@@ -178,10 +179,11 @@ def test_criterion_8_machine_compilation_end_to_end():
     witness = witness_structure(normalized, "10", run, info.params)
     check = verify_witness(formula, witness, exhaustive_limit=22, samples=1_000_000, seed=8)
     assert check.violations == 0
-    mode = f"{check.mode}, {check.checked} assignments"
+    limits = SolverLimits(max_universal_vars=64, max_oracle_strings=1 << 16, max_structures=1 << 22)
+    assert holds_universally(formula, witness, limits)
+    mode = f"{check.mode}, {check.checked} assignments, and exact"
 
     unsat_formula, _ = compile_with_info(machine, "00", 1)
-    limits = SolverLimits(max_universal_vars=64, max_oracle_strings=1 << 16, max_structures=1 << 22)
     from rpcalc.semantics import sat_pi1
 
     outcome = sat_pi1(unsat_formula, limits)

@@ -1,8 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from rpcalc.cli import main
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -190,3 +196,28 @@ def test_version_lists_constants(capsys):
     assert "d = 20" in out
     assert "E4" in out
     assert "c_alpha" in out
+
+
+DEEP_INPUTS = {
+    "valid": "~" * 300_000 + "p | ~p\n",
+    "parse": "(" * 20_000 + "p" + ")" * 20_000 + "\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEEP_INPUTS))
+def test_deep_nesting_is_a_usage_error(tmp_path, command):
+    # run in a fresh interpreter: the overflow must be caught by the CLI
+    # itself, whatever state the test process is in
+    f = tmp_path / "deep.pc"
+    f.write_text(DEEP_INPUTS[command])
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rpcalc", command, str(f)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: input nested too deeply\n"
+    assert proc.stdout == ""

@@ -1,9 +1,34 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genlib import brute_sat_q
-from rpcalc.formulas import And, Atom, Const, Not, Or, RApp, foralls, free_atoms, fold_assign
+from genlib import (
+    brute_sat_q,
+    first_symbol_one_machine,
+    guess_branch_machine,
+    immediate_accept_machine,
+)
+from rpcalc import semantics
+from rpcalc.formulas import (
+    FALSE,
+    And,
+    Atom,
+    Const,
+    Not,
+    Or,
+    RApp,
+    and_all,
+    atom_names_fast,
+    flatten_and,
+    foralls,
+    free_atoms,
+    fold_assign,
+    iff,
+    implies,
+)
 from rpcalc.semantics import (
     BUDGET_EXCEEDED,
     SAT,
@@ -17,7 +42,17 @@ from rpcalc.semantics import (
     sat_pi1,
     valid_q_bruteforce,
 )
-from rpcalc.syntax import parse_formula
+from rpcalc.syntax import format_formula, parse_formula
+from rpcalc.tableau import compile_with_info
+
+WIDE = SolverLimits(max_universal_vars=128, max_oracle_strings=1 << 16, max_structures=1 << 22)
+
+
+def reparsed_compile(machine, x, t):
+    """A compiled machine formula as the CLI solves it: printed and
+    parsed back, so no structure is shared with the compiler's output."""
+    formula, _ = compile_with_info(machine, x, t)
+    return parse_formula(format_formula(formula))
 
 
 def test_examples():
@@ -135,3 +170,153 @@ def test_sat_witness_verifies_exhaustively():
         if r.status == SAT:
             # evaluate the original formula directly (exponential but tiny)
             assert eval_formula(f, r.witness) == 1
+
+
+def test_structure_budget_bounds_expansion_time():
+    # without a charge per folded instance this expansion runs to its
+    # 465 leaves, which took about 50 s
+    f = reparsed_compile(first_symbol_one_machine(), "10", 3)
+    limits = SolverLimits(max_universal_vars=128, max_oracle_strings=1 << 16, max_structures=500)
+    start = time.perf_counter()
+    r = sat_pi1(f, limits)
+    elapsed = time.perf_counter() - start
+    assert r.status == BUDGET_EXCEEDED
+    assert r.reason == "expansion exceeded max_structures"
+    assert r.stats["folds"] == 501
+    assert elapsed < 30
+
+
+def test_expansion_counters():
+    r = sat_pi1(reparsed_compile(first_symbol_one_machine(), "10", 2), WIDE)
+    assert r.status == SAT
+    assert set(r.stats) == {"folds", "leaves", "forced", "branches", "ground_constraints"}
+    # branching on every gate and output variable took 4,369 expansion
+    # calls; forcing them leaves a small fraction of that
+    assert r.stats["folds"] < 4369 // 8
+    assert r.stats["forced"] > r.stats["branches"] > 0
+    assert 0 < r.stats["ground_constraints"] <= r.stats["leaves"] <= r.stats["folds"]
+    # the counters are reported beside the answer, not part of it
+    assert r == semantics.Pi1Result(r.status, r.witness, r.reason)
+
+
+def naive_expand(conjunct, support, limits=None, counters=None):
+    """Reference expansion: branch on every universal still occurring,
+    in support order, and drop the instances that fold to 1."""
+    out = []
+
+    def rec(g, remaining):
+        if isinstance(g, Const):
+            if g.bit == 0:
+                out.append(FALSE)
+            return
+        present = atom_names_fast(g)
+        remaining = [v for v in remaining if v in present]
+        if not remaining:
+            out.append(g)
+            return
+        for bit in (0, 1):
+            rec(fold_assign(g, {remaining[0]: bit}), remaining[1:])
+
+    rec(fold_assign(conjunct, {}), list(support))
+    return out
+
+
+def assert_expansions_agree(f):
+    uvars, matrix = pull_universals(f)
+    for conjunct in flatten_and(matrix):
+        conjunct_free = free_atoms(conjunct)
+        support = [v for v in uvars if v in conjunct_free]
+        counters = semantics._expansion_counters()
+        fast = [format_formula(g) for g in semantics._expand(conjunct, support, WIDE, counters)]
+        slow = [format_formula(g) for g in naive_expand(conjunct, support)]
+        # each distinct constraint once, and exactly the reference's ones
+        assert sorted(fast) == sorted(set(slow))
+    expected = sat_pi1(f, WIDE)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "_expand", naive_expand)
+        reference = sat_pi1(f, WIDE)
+    assert expected.status == reference.status
+    assert expected.witness == reference.witness
+
+
+INPUTS = ("x0", "x1", "x2")
+FREE = ("p", "q")
+
+
+@st.composite
+def small_formula(draw, refs, depth=2):
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        kind = draw(st.sampled_from(["ref", "free", "const", "rapp"]))
+        if kind == "ref":
+            return draw(st.sampled_from(refs))
+        if kind == "free":
+            return Atom(draw(st.sampled_from(FREE)))
+        if kind == "const":
+            return Const(draw(st.integers(0, 1)))
+        args = draw(
+            st.lists(st.sampled_from(refs + [Const(0), Const(1)]), min_size=1, max_size=2)
+        )
+        return RApp(tuple(args))
+    op = draw(st.sampled_from(["not", "and", "or"]))
+    if op == "not":
+        return Not(draw(small_formula(refs, depth - 1)))
+    left = draw(small_formula(refs, depth - 1))
+    right = draw(small_formula(refs, depth - 1))
+    return And(left, right) if op == "and" else Or(left, right)
+
+
+@st.composite
+def guarded(draw, tag, depth=1):
+    """~(defs & extra guards) | body: the defs are gate biconditionals
+    over the inputs and earlier gates, as circuit_to_formula writes them;
+    the body may start with a bare literal or hold a nested guard."""
+    refs = [Atom(v) for v in INPUTS]
+    parts = []
+    for j in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(refs)), draw(st.sampled_from(refs))
+        op = draw(st.sampled_from(["not", "and", "or", "copy"]))
+        expr = {"not": Not(a), "and": And(a, b), "or": Or(a, b), "copy": a}[op]
+        gate = Atom(f"g{tag}_{j}")
+        parts.append(iff(gate, expr))
+        refs.append(gate)
+    for _ in range(draw(st.integers(0, 2))):
+        ref = draw(st.sampled_from(refs))
+        parts.append(draw(st.one_of(st.just(ref), st.just(Not(ref)), small_formula(refs, 1))))
+    parts = draw(st.permutations(parts))
+    kind = draw(st.sampled_from(["plain", "bare", "nested"] if depth else ["plain", "bare"]))
+    if kind == "nested":
+        body = draw(guarded(f"{tag}n", depth - 1))
+    else:
+        body = draw(small_formula(refs))
+        if kind == "bare":
+            ref = draw(st.sampled_from(refs))
+            body = Or(draw(st.sampled_from([ref, Not(ref)])), body)
+    return implies(and_all(parts), body) if parts else body
+
+
+@st.composite
+def guarded_pi1(draw):
+    conjuncts = [draw(guarded(str(i))) for i in range(draw(st.integers(1, 3)))]
+    matrix = and_all(conjuncts)
+    names = sorted(atom_names_fast(matrix) - set(FREE))
+    return foralls(names, matrix)
+
+
+@settings(max_examples=150)
+@given(guarded_pi1())
+def test_expansion_matches_naive_reference_on_guarded_formulas(f):
+    assert_expansions_agree(f)
+
+
+@pytest.mark.parametrize(
+    "machine, x",
+    [
+        (first_symbol_one_machine, "10"),
+        (first_symbol_one_machine, "01"),
+        (guess_branch_machine, "1"),
+        (guess_branch_machine, "0"),
+        (immediate_accept_machine, ""),
+    ],
+)
+def test_expansion_matches_naive_reference_on_compiled_machines(machine, x):
+    assert_expansions_agree(reparsed_compile(machine(), x, 1))

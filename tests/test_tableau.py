@@ -187,6 +187,7 @@ def test_witness_satisfies_full_matrix(compiled_10, norm_first1):
     report = verify_witness(formula, witness, exhaustive_limit=22, samples=120_000, seed=3)
     assert report.mode == "sampled"
     assert report.ok
+    assert holds_universally(formula, witness, LIMITS)
 
 
 def test_sat_pi1_cross_validation(first1):
