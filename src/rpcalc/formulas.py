@@ -181,7 +181,20 @@ def walk(f: Formula) -> Iterator[Formula]:
 
 
 def is_quantifier_free(f: Formula) -> bool:
-    return not any(isinstance(g, (Forall, Exists)) for g in walk(f))
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        kind = type(g)
+        if kind is Not:
+            stack.append(g.child)
+        elif kind is And or kind is Or:
+            stack.append(g.left)
+            stack.append(g.right)
+        elif kind is RApp:
+            stack.extend(g.args)
+        elif kind is Forall or kind is Exists:
+            return False
+    return True
 
 
 def quantifier_depth(f: Formula) -> int:

@@ -713,7 +713,8 @@ def proof_from_json(data: Any) -> Proof:
 
 
 def dump_proof(p: Proof) -> str:
-    return json.dumps(proof_to_json(p), indent=2, sort_keys=True)
+    """One line of compact JSON; without indentation the C encoder runs."""
+    return json.dumps(proof_to_json(p), sort_keys=True, separators=(",", ":"))
 
 
 def load_proof(text: str) -> Proof:

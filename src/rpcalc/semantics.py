@@ -6,8 +6,12 @@ quantifier-free formulas searches certificates: an atom assignment plus
 an in/out choice per distinct queried string (occurrences whose argument
 vectors evaluate to the same string share one choice).  The pi1 solver
 expands the universal prefix, forcing the universals that a guard fixes
-instead of branching on them, and decides the resulting ground
-constraints by unit propagation with chronological backtracking.
+instead of branching on them.  One ground engine, unit propagation with
+chronological backtracking on an undo trail, serves sat_pc, valid_pc,
+sequent_valid and sat_pi1.  sat_pc decides the sorted atoms, then the
+strings as the formula's short-circuit evaluation queries them; sat_pi1
+decides the least unassigned key, sorted atoms before sorted strings.
+Both try 0 first and return the first witness in that order.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ from .formulas import (
     Or,
     RApp,
     Sequent,
+    TRUE,
     all_names,
+    and_all,
     atom_names_fast,
     flatten_and,
     flatten_or,
@@ -147,56 +153,35 @@ def eval_recording(f: Formula, structure: Structure) -> tuple[int, frozenset[str
     return value, frozenset(queried)
 
 
-class _UnknownQuery(Exception):
-    def __init__(self, string: str):
-        self.string = string
-
-
 def sat_pc(f: Formula) -> Optional[Structure]:
     """Certificate search for quantifier-free formulas.
 
     Returns a witness structure whose oracle lists exactly the strings
     chosen in, or None when unsatisfiable.  Deterministic: atoms are
-    enumerated in sorted order with 0 before 1, and each newly queried
-    string is tried out-of-oracle first.
+    decided in sorted order with 0 before 1, then each string in the
+    order the short-circuit evaluation of f queries it, out-of-oracle
+    first.  Propagation only skips branches without a solution, so the
+    witness is the first one in that order.
     """
     if not is_quantifier_free(f):
         raise ValueError("sat_pc expects a quantifier-free formula")
-    atoms = sorted(free_atoms(f))
-    env: dict[str, int] = {}
-    chosen: dict[str, int] = {}
+    names = sorted(atom_names_fast(f))
+    atom_keys = ["a" + name for name in names]
 
-    def lookup(s: str) -> int:
-        if s in chosen:
-            return chosen[s]
-        raise _UnknownQuery(s)
-
-    def search_oracle() -> bool:
+    def branch(engine: _Engine) -> str:
+        for key in atom_keys:
+            if key not in engine.values:
+                return key
         try:
-            return _eval(f, env, lookup) == 1
-        except _UnknownQuery as unknown:
-            s = unknown.string
-            for bit in (0, 1):
-                chosen[s] = bit
-                if search_oracle():
-                    return True
-                del chosen[s]
-            return False
+            _eval(f, engine.atoms, engine.strings.__getitem__)
+        except KeyError as unknown:  # the first string not yet assigned
+            return "s" + unknown.args[0]
+        raise AssertionError("a live part leaves no queried string unassigned")
 
-    def go(i: int) -> bool:
-        if i == len(atoms):
-            return search_oracle()
-        for bit in (0, 1):
-            env[atoms[i]] = bit
-            if go(i + 1):
-                return True
-        del env[atoms[i]]
-        return False
-
-    if go(0):
-        oracle = frozenset(s for s, bit in chosen.items() if bit == 1)
-        return Structure(dict(env), oracle)
-    return None
+    engine = _Engine([f], branch)
+    if not engine.solve():
+        return None
+    return _witness(names, engine.atoms, engine.strings)
 
 
 def valid_pc(f: Formula) -> bool:
@@ -210,7 +195,8 @@ def validity_formula(s: Sequent) -> Formula:
 
 
 def sequent_valid(s: Sequent) -> bool:
-    return valid_pc(validity_formula(s))
+    """Valid iff the antecedents and the negated succedents have no model."""
+    return sat_pc(and_all([*s.antecedent, *map(Not, s.succedent)])) is None
 
 
 @dataclass(frozen=True)
@@ -236,10 +222,12 @@ BUDGET_EXCEEDED = "budget_exceeded"
 
 @dataclass(frozen=True)
 class Pi1Result:
-    """Outcome of sat_pi1.  `stats` holds the expansion counters: folds
+    """Outcome of sat_pi1.  `stats` holds the expansion counters folds
     (instances folded), leaves (ground instances reached), forced
-    (universal values forced instead of branched on), branches and
-    ground_constraints (distinct constraints handed to the solver)."""
+    (universal values forced, not branched on), branches and
+    ground_constraints (distinct constraints handed to the solver), and
+    the ground engine's decisions (values tried at branch points),
+    conflicts (failed propagations) and units (values propagated)."""
 
     status: str
     witness: Optional[Structure] = None
@@ -317,25 +305,28 @@ def pull_universals(f: Formula) -> tuple[tuple[str, ...], Formula]:
     return tuple(order), matrix
 
 
-def _constraint_strings(f: Formula) -> set[str]:
-    """Strings of the constant-argument R applications in a
-    quantifier-free formula."""
+def _keys(f: Formula) -> tuple[str, ...]:
+    """The sorted keys of a quantifier-free formula: "a" + name for each
+    atom and "s" + string for each constant-argument R application.
+    They sort like ("a", name) and ("s", string) pairs."""
     out = set()
     stack = [f]
     while stack:
         g = stack.pop()
         kind = type(g)
-        if kind is Not:
+        if kind is Atom:
+            out.add("a" + g.name)
+        elif kind is Not:
             stack.append(g.child)
         elif kind is And or kind is Or:
             stack.append(g.left)
             stack.append(g.right)
         elif kind is RApp:
             if all(type(a) is Const for a in g.args):
-                out.add("".join(str(a.bit) for a in g.args))
+                out.add("s" + "".join(str(a.bit) for a in g.args))
             else:
                 stack.extend(g.args)
-    return out
+    return tuple(sorted(out))
 
 
 class _Budget(Exception):
@@ -387,9 +378,9 @@ def _force(
                         return None
                     continue
             unit = _as_literal(c)
-            if unit is not None and unit[0][0] == "a" and unit[0][1] in universals:
-                (_, name), bit = unit
-                if forced.setdefault(name, bit) != bit:
+            if unit is not None and unit[0][0] == "a" and unit[0][1:] in universals:
+                key, bit = unit
+                if forced.setdefault(key[1:], bit) != bit:
                     return None
                 continue
             kept.append(c)
@@ -444,7 +435,7 @@ def _expand(conjunct: Formula, support: list[str], limits: SolverLimits, counter
         out.setdefault(g)
         if len(out) == known:
             return
-        counters["strings"] |= _constraint_strings(g)
+        counters["strings"].update(k for k in _keys(g) if k[0] == "s")
         if len(counters["strings"]) > limits.max_oracle_strings:
             raise _Budget("expansion exceeded max_oracle_strings")
 
@@ -483,187 +474,198 @@ def _expand(conjunct: Formula, support: list[str], limits: SolverLimits, counter
     return list(out)
 
 
-def _as_literal(g: Formula) -> Optional[tuple[tuple[str, str], int]]:
-    """Recognize a forced unit: (key, bit) with key ('a', name) for an
-    atom or ('s', string) for an oracle string."""
+_BITS = (FALSE, TRUE)
+
+
+def _as_literal(g: Formula) -> Optional[tuple[str, int]]:
+    """Recognize a forced unit: (key, bit), where the key is "a" + name
+    for an atom or "s" + string for an oracle string."""
     positive = 1
-    if isinstance(g, Not):
+    if type(g) is Not:
         positive = 0
         g = g.child
-    if isinstance(g, Atom):
-        return ("a", g.name), positive
-    if isinstance(g, RApp) and all(isinstance(a, Const) for a in g.args):
-        return ("s", "".join(str(a.bit) for a in g.args)), positive
+    if type(g) is Atom:
+        return "a" + g.name, positive
+    if type(g) is RApp and all(type(a) is Const for a in g.args):
+        return "s" + "".join(str(a.bit) for a in g.args), positive
     return None
 
 
 def _fold_ground(f: Formula, atoms: dict[str, int], strings: dict[str, int]) -> Formula:
     """fold_assign extended to resolve constant-argument R applications
     against a partial string assignment."""
-    if isinstance(f, Atom):
+    kind = type(f)
+    if kind is Atom:
         bit = atoms.get(f.name)
-        return f if bit is None else Const(bit)
-    if isinstance(f, Const):
+        return f if bit is None else _BITS[bit]
+    if kind is Const:
         return f
-    if isinstance(f, Not):
+    if kind is Not:
         c = _fold_ground(f.child, atoms, strings)
-        if isinstance(c, Const):
-            return Const(1 - c.bit)
+        if type(c) is Const:
+            return _BITS[1 - c.bit]
         return f if c is f.child else Not(c)
-    if isinstance(f, (And, Or)):
-        absorbing = 0 if isinstance(f, And) else 1
+    if kind is And or kind is Or:
+        absorbing = 0 if kind is And else 1
         left = _fold_ground(f.left, atoms, strings)
-        if isinstance(left, Const) and left.bit == absorbing:
-            return left
+        if type(left) is Const:
+            return left if left.bit == absorbing else _fold_ground(f.right, atoms, strings)
         right = _fold_ground(f.right, atoms, strings)
-        if isinstance(right, Const) and right.bit == absorbing:
-            return right
-        if isinstance(left, Const):
-            return right
-        if isinstance(right, Const):
-            return left
+        if type(right) is Const:
+            return right if right.bit == absorbing else left
         if left is f.left and right is f.right:
             return f
-        return type(f)(left, right)
-    if isinstance(f, RApp):
-        args = tuple(_fold_ground(a, atoms, strings) for a in f.args)
-        if all(isinstance(a, Const) for a in args):
-            bit = strings.get("".join(str(a.bit) for a in args))
+        return kind(left, right)
+    if kind is RApp:
+        args = tuple([_fold_ground(a, atoms, strings) for a in f.args])
+        if all(type(a) is Const for a in args):
+            bit = strings.get("".join([str(a.bit) for a in args]))
             if bit is not None:
-                return Const(bit)
+                return _BITS[bit]
         if all(a is b for a, b in zip(args, f.args)):
             return f
         return RApp(args)
     raise ValueError("ground constraints must be quantifier-free")
 
 
-def _constraint_keys(g: Formula) -> set[tuple[str, str]]:
-    keys: set[tuple[str, str]] = set()
-    for h in walk(g):
-        if isinstance(h, Atom):
-            keys.add(("a", h.name))
-        elif isinstance(h, RApp) and all(isinstance(a, Const) for a in h.args):
-            keys.add(("s", "".join(str(a.bit) for a in h.args)))
-    return keys
+class _Engine:
+    """Unit propagation with chronological backtracking over atoms and
+    oracle strings, on an undo trail (MiniSat-style, without learning).
 
+    Constraints are held as top-level conjuncts ("parts"); each caches
+    its keys (see _keys) when made and joins their watch lists.
+    Assigning a key refolds the live parts that watch it: each dies and
+    its conjuncts become new parts or units.  The trail records the
+    assignments and dead parts; backtracking undoes it to a mark and
+    pops the newer parts and their watch entries in LIFO order, copying
+    nothing.  `branch(engine)` names the next key to decide, 0 before 1;
+    it is all that differs between callers.  max_strings bounds the
+    assigned strings."""
 
-@dataclass
-class _SolverState:
-    atoms: dict[str, int]
-    strings: dict[str, int]
-    active: dict[int, Formula]
-    watch: dict[tuple[str, str], set[int]]
+    def __init__(self, constraints: list[Formula], branch: Callable, max_strings: Optional[int] = None):
+        self.branch = branch
+        self.max_strings = max_strings
+        self.atoms: dict[str, int] = {}
+        self.strings: dict[str, int] = {}
+        self.values: dict[str, int] = {}
+        # folded before the first decision, so no keys or watches needed
+        self.parts: list[Formula] = list(constraints)
+        self.keys: list[tuple[str, ...]] = [()] * len(self.parts)
+        self.live: list[bool] = [True] * len(self.parts)
+        self.watch: dict[str, list[int]] = {}
+        self.trail: list = []
+        self.decisions = self.conflicts = self.units = 0
 
-    def copy(self) -> "_SolverState":
-        return _SolverState(
-            dict(self.atoms),
-            dict(self.strings),
-            dict(self.active),
-            {k: set(v) for k, v in self.watch.items()},
-        )
-
-    def lookup(self, key: tuple[str, str]) -> Optional[int]:
-        table = self.atoms if key[0] == "a" else self.strings
-        return table.get(key[1])
-
-
-class _Solver:
-    """Unit propagation with chronological backtracking over free atoms
-    and oracle strings; a constraint is refolded only when one of its
-    keys gets assigned."""
-
-    def __init__(self, constraints: list[Formula], limits: SolverLimits):
-        self.limits = limits
-        self.initial = list(constraints)
-        self._next_id = 0
-
-    def solve(self) -> Optional[tuple[dict[str, int], dict[str, int]]]:
-        state = _SolverState({}, {}, {}, {})
-        dirty = []
-        for g in self.initial:
-            cid = self._next_id
-            self._next_id += 1
-            state.active[cid] = g
+    def _add(self, part: Formula, dirty: list[int]) -> None:
+        cid = len(self.parts)
+        keys = _keys(part)
+        self.parts.append(part)
+        self.keys.append(keys)
+        self.live.append(True)
+        for key in keys:
+            self.watch.setdefault(key, []).append(cid)
+        if any(key in self.values for key in keys):  # set by a unit after the fold
             dirty.append(cid)
-        return self._search(state, dirty)
 
-    def _assign(self, state: _SolverState, key, bit, dirty) -> bool:
-        old = state.lookup(key)
-        if old is not None:
-            return old == bit
+    def _assign(self, key: str, bit: int, dirty: list[int]) -> None:
         if key[0] == "s":
-            if len(state.strings) >= self.limits.max_oracle_strings:
+            if self.max_strings is not None and len(self.strings) >= self.max_strings:
                 raise _Budget("solver exceeded max_oracle_strings")
-            state.strings[key[1]] = bit
+            self.strings[key[1:]] = bit
         else:
-            state.atoms[key[1]] = bit
-        dirty.extend(state.watch.pop(key, ()))
-        return True
+            self.atoms[key[1:]] = bit
+        self.values[key] = bit
+        self.trail.append(key)
+        dirty.extend(self.watch.get(key, ()))
 
-    def _propagate(self, state: _SolverState, dirty) -> bool:
+    def _propagate(self, dirty: list[int]) -> bool:
+        parts, live, values = self.parts, self.live, self.values
         while dirty:
             cid = dirty.pop()
-            g = state.active.pop(cid, None)
-            if g is None:
+            if not live[cid]:
                 continue
-            g = _fold_ground(g, state.atoms, state.strings)
-            if isinstance(g, Const):
+            live[cid] = False
+            self.trail.append(cid)
+            g = _fold_ground(parts[cid], self.atoms, self.strings)
+            if type(g) is Const:
                 if g.bit == 0:
+                    self.conflicts += 1
                     return False
                 continue
             for part in flatten_and(g):
                 unit = _as_literal(part)
-                if unit is not None:
-                    key, bit = unit
-                    if not self._assign(state, key, bit, dirty):
-                        return False
+                if unit is None:
+                    self._add(part, dirty)
                     continue
-                pid = self._next_id
-                self._next_id += 1
-                state.active[pid] = part
-                touched = False
-                for key in _constraint_keys(part):
-                    if state.lookup(key) is not None:
-                        touched = True
-                    else:
-                        state.watch.setdefault(key, set()).add(pid)
-                if touched:
-                    dirty.append(pid)
+                key, bit = unit
+                old = values.get(key)
+                if old is None:
+                    self.units += 1
+                    self._assign(key, bit, dirty)
+                elif old != bit:
+                    self.conflicts += 1
+                    return False
         return True
 
-    def _branch_key(self, state: _SolverState):
-        best = None
-        for g in state.active.values():
-            for key in _constraint_keys(g):
-                if state.lookup(key) is not None:
-                    continue
-                if best is None or key < best:
-                    best = key
-        return best
+    def _undo(self, trail_mark: int, parts_mark: int) -> None:
+        trail = self.trail
+        while len(trail) > trail_mark:
+            entry = trail.pop()
+            if type(entry) is int:
+                self.live[entry] = True
+            else:
+                del self.values[entry]
+                del (self.atoms if entry[0] == "a" else self.strings)[entry[1:]]
+        for cid in range(len(self.parts) - 1, parts_mark - 1, -1):
+            for key in self.keys[cid]:
+                self.watch[key].pop()
+        del self.parts[parts_mark:], self.keys[parts_mark:], self.live[parts_mark:]
 
-    def _search(self, state: _SolverState, dirty):
-        if not self._propagate(state, dirty):
-            return None
-        if not state.active:
-            return state.atoms, state.strings
-        key = self._branch_key(state)
-        if key is None:
-            return None
-        for bit in (0, 1):
-            branch = state.copy()
-            dirty2: list[int] = []
-            if not self._assign(branch, key, bit, dirty2):
-                continue
-            result = self._search(branch, dirty2)
-            if result is not None:
-                return result
-        return None
+    def solve(self) -> bool:
+        """Search for an assignment making every constraint 1 and keep it."""
+        path: list[tuple[str, int, int, int]] = []  # key, bit, trail and parts marks
+        dirty = list(range(len(self.parts)))
+        while True:
+            if self._propagate(dirty):
+                if not any(self.live):
+                    return True
+                key, bit, marks = self.branch(self), 0, (len(self.trail), len(self.parts))
+            else:  # flip the deepest decision still at 0
+                while path and path[-1][1] == 1:
+                    path.pop()
+                if not path:
+                    return False
+                key, _, *marks = path.pop()
+                self._undo(*marks)
+                bit = 1
+            path.append((key, bit, *marks))
+            self.decisions += 1
+            dirty = []
+            self._assign(key, bit, dirty)
 
 
-def _solve_constraints(
-    constraints: list[Formula], limits: SolverLimits
-) -> Optional[tuple[dict[str, int], dict[str, int]]]:
-    return _Solver(constraints, limits).solve()
+def _witness(names: Iterable[str], atoms: dict[str, int], strings: dict[str, int]) -> Structure:
+    """A solution over `names`; atoms no constraint needed read 0."""
+    assignment = {name: atoms.get(name, 0) for name in names}
+    return Structure(assignment, frozenset(s for s, bit in strings.items() if bit == 1))
+
+
+def _least_key(engine: _Engine) -> str:
+    """sat_pi1's branch rule: the least unassigned key of the live parts.
+    After propagation no live part holds an assigned key, and each
+    part's keys are sorted, so that is the least first key."""
+    return min(keys[0] for keys in itertools.compress(engine.keys, engine.live))
+
+
+def _solve_constraints(constraints: list[Formula], limits: SolverLimits, counters: dict):
+    """sat_pi1's ground solve: the atom and string assignments, or None.
+    Adds the engine's counters to `counters` in any case."""
+    engine = _Engine(constraints, _least_key, limits.max_oracle_strings)
+    try:
+        found = engine.solve()
+    finally:
+        counters.update(decisions=engine.decisions, conflicts=engine.conflicts, units=engine.units)
+    return (engine.atoms, engine.strings) if found else None
 
 
 def sat_pi1(f: Formula, limits: SolverLimits = DEFAULT_LIMITS) -> Pi1Result:
@@ -679,6 +681,7 @@ def sat_pi1(f: Formula, limits: SolverLimits = DEFAULT_LIMITS) -> Pi1Result:
             reason=f"{len(uvars)} universal variables exceed limit {limits.max_universal_vars}",
         )
     counters = _expansion_counters()
+    counters.update(decisions=0, conflicts=0, units=0)
     constraints: list[Formula] = []
 
     def stats() -> dict:
@@ -691,16 +694,13 @@ def sat_pi1(f: Formula, limits: SolverLimits = DEFAULT_LIMITS) -> Pi1Result:
             conjunct_free = free_atoms(conjunct)
             support = [v for v in uvars if v in conjunct_free]
             constraints.extend(_expand(conjunct, support, limits, counters))
-        solution = _solve_constraints(constraints, limits)
+        solution = _solve_constraints(constraints, limits, counters)
     except _Budget as exc:
         return Pi1Result(BUDGET_EXCEEDED, reason=str(exc), stats=stats())
     if solution is None:
         return Pi1Result(UNSAT, stats=stats())
-    atoms, strings = solution
-    original_free = free_atoms(f)
-    assignment = {name: atoms.get(name, 0) for name in sorted(original_free)}
-    oracle = frozenset(s for s, bit in strings.items() if bit == 1)
-    return Pi1Result(SAT, witness=Structure(assignment, oracle), stats=stats())
+    witness = _witness(sorted(free_atoms(f)), *solution)
+    return Pi1Result(SAT, witness=witness, stats=stats())
 
 
 def holds_universally(

@@ -189,7 +189,10 @@ def test_structure_budget_bounds_expansion_time():
 def test_expansion_counters():
     r = sat_pi1(reparsed_compile(first_symbol_one_machine(), "10", 2), WIDE)
     assert r.status == SAT
-    assert set(r.stats) == {"folds", "leaves", "forced", "branches", "ground_constraints"}
+    assert set(r.stats) == {
+        "folds", "leaves", "forced", "branches", "ground_constraints",
+        "decisions", "conflicts", "units",
+    }
     # branching on every gate and output variable took 4,369 expansion
     # calls; forcing them leaves a small fraction of that
     assert r.stats["folds"] < 4369 // 8

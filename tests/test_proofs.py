@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from rpcalc.proofs import (
     weak_l,
     weak_r,
 )
+from rpcalc.prover import prove
 from rpcalc.semantics import sequent_valid
 from rpcalc.syntax import parse_formula, parse_sequent, sequent_length
 
@@ -180,6 +182,16 @@ def test_error_paths_are_preorder():
 def test_json_roundtrip():
     proof = derive_scheme("E3", parse_formula("p | ~q"), (Atom("r"),), (Const(1),))
     text = dump_proof(proof)
+    again = load_proof(text)
+    assert again == proof
+    assert check_pk(again) == []
+
+
+def test_json_is_one_compact_line():
+    proof = prove(parse_sequent("R(p & q), ~R(0) |- R(q & p) & ~R(0)")).proof
+    text = dump_proof(proof)
+    assert "\n" not in text
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
     again = load_proof(text)
     assert again == proof
     assert check_pk(again) == []
