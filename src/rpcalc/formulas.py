@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 _ATOM_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
@@ -277,33 +277,42 @@ def substitute(f: Formula, var: str, replacement: Formula) -> Formula:
     Raises CaptureError (naming the offending binder) if a free variable
     of the replacement would be captured; no implicit renaming happens.
     """
-    repl_free = free_atoms(replacement)
+    return substitute_all(f, {var: replacement})
 
-    def go(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            return replacement if g.name == var else g
-        if isinstance(g, Const):
-            return g
-        if isinstance(g, Not):
-            return Not(go(g.child))
-        if isinstance(g, And):
-            return And(go(g.left), go(g.right))
-        if isinstance(g, Or):
-            return Or(go(g.left), go(g.right))
-        if isinstance(g, RApp):
-            return RApp(tuple(go(a) for a in g.args))
-        # binders
-        if g.var == var:
-            return g
-        if var in free_atoms(g.body):
-            if g.var in repl_free:
-                raise CaptureError(g.var)
-            return type(g)(g.var, go(g.body))
-        return g
 
-    if var not in free_atoms(f):
+def substitute_all(f: Formula, env: dict[str, Formula]) -> Formula:
+    """Replace the free occurrences of every name in env at once.
+
+    Unchanged subtrees are returned as-is.  Capture is checked at each
+    binder, outermost first, and raises CaptureError naming it.
+    """
+    if not env:
         return f
-    return go(f)
+    kind = type(f)
+    if kind is Atom:
+        return env.get(f.name, f)
+    if kind is Const:
+        return f
+    if kind is Not:
+        c = substitute_all(f.child, env)
+        return f if c is f.child else Not(c)
+    if kind is And or kind is Or:
+        left = substitute_all(f.left, env)
+        right = substitute_all(f.right, env)
+        if left is f.left and right is f.right:
+            return f
+        return kind(left, right)
+    if kind is RApp:
+        args = tuple([substitute_all(a, env) for a in f.args])
+        if all(a is b for a, b in zip(args, f.args)):
+            return f
+        return RApp(args)
+    body_free = free_atoms(f.body)
+    env = {name: r for name, r in env.items() if name != f.var and name in body_free}
+    if any(f.var in free_atoms(r) for r in env.values()):
+        raise CaptureError(f.var)
+    body = substitute_all(f.body, env)
+    return f if body is f.body else kind(f.var, body)
 
 
 _UNCLASSIFIABLE = "X"
@@ -359,53 +368,47 @@ def classify(f: Formula) -> str:
     return "other"
 
 
-def fold_assign(f: Formula, env: dict[str, int]) -> Formula:
+_BITS = (FALSE, TRUE)
+
+
+def fold_assign(
+    f: Formula, atoms: dict[str, int], strings: Optional[dict[str, int]] = None
+) -> Formula:
     """Substitute constant bits for atoms and fold constants in one pass.
 
-    R applications are never folded away; their arguments are folded.
-    Unchanged subtrees are returned as-is (no reallocation).  Only
-    defined on quantifier-free formulas.
+    An R application whose arguments fold to constants folds to the bit
+    that `strings` assigns its string, if any; other R applications stay
+    and their arguments are folded.  Unchanged subtrees are returned
+    as-is (no reallocation).  Only defined on quantifier-free formulas.
     """
-    if isinstance(f, Atom):
-        bit = env.get(f.name)
-        return f if bit is None else Const(bit)
-    if isinstance(f, Const):
+    kind = type(f)
+    if kind is Atom:
+        bit = atoms.get(f.name)
+        return f if bit is None else _BITS[bit]
+    if kind is Const:
         return f
-    if isinstance(f, Not):
-        c = fold_assign(f.child, env)
-        if isinstance(c, Const):
-            return Const(1 - c.bit)
+    if kind is Not:
+        c = fold_assign(f.child, atoms, strings)
+        if type(c) is Const:
+            return _BITS[1 - c.bit]
         return f if c is f.child else Not(c)
-    if isinstance(f, And):
-        left = fold_assign(f.left, env)
-        if isinstance(left, Const) and left.bit == 0:
-            return FALSE
-        right = fold_assign(f.right, env)
-        if isinstance(right, Const) and right.bit == 0:
-            return FALSE
-        if isinstance(left, Const):
-            return right
-        if isinstance(right, Const):
-            return left
+    if kind is And or kind is Or:
+        absorbing = 0 if kind is And else 1
+        left = fold_assign(f.left, atoms, strings)
+        if type(left) is Const:
+            return left if left.bit == absorbing else fold_assign(f.right, atoms, strings)
+        right = fold_assign(f.right, atoms, strings)
+        if type(right) is Const:
+            return right if right.bit == absorbing else left
         if left is f.left and right is f.right:
             return f
-        return And(left, right)
-    if isinstance(f, Or):
-        left = fold_assign(f.left, env)
-        if isinstance(left, Const) and left.bit == 1:
-            return TRUE
-        right = fold_assign(f.right, env)
-        if isinstance(right, Const) and right.bit == 1:
-            return TRUE
-        if isinstance(left, Const):
-            return right
-        if isinstance(right, Const):
-            return left
-        if left is f.left and right is f.right:
-            return f
-        return Or(left, right)
-    if isinstance(f, RApp):
-        args = tuple(fold_assign(a, env) for a in f.args)
+        return kind(left, right)
+    if kind is RApp:
+        args = tuple([fold_assign(a, atoms, strings) for a in f.args])
+        if strings and all(type(a) is Const for a in args):
+            bit = strings.get("".join([str(a.bit) for a in args]))
+            if bit is not None:
+                return _BITS[bit]
         if all(a is b for a, b in zip(args, f.args)):
             return f
         return RApp(args)

@@ -127,7 +127,7 @@ def _gprove(s: Sequent, fresh: _FreshNames, depth: int, tracker: dict) -> Union[
                     p = proofs.exch_r(p, len(delta))
                     p = proofs.ex_r(p, q.var, q.body, Const(0))
                     p = proofs.contr_r(p, len(delta))
-                    return proofs.move_succedent(p, len(delta), idx)
+                    return proofs.move(p, "succ", len(delta), idx)
 
             else:
                 eigen = fresh.next()
@@ -136,7 +136,7 @@ def _gprove(s: Sequent, fresh: _FreshNames, depth: int, tracker: dict) -> Union[
 
                 def rebuild(p: Proof) -> Proof:
                     p = proofs.all_r(p, q.var, q.body, eigen)
-                    return proofs.move_succedent(p, len(delta), idx)
+                    return proofs.move(p, "succ", len(delta), idx)
 
         else:
             gamma = s.antecedent[:idx] + s.antecedent[idx + 1 :]
@@ -150,7 +150,7 @@ def _gprove(s: Sequent, fresh: _FreshNames, depth: int, tracker: dict) -> Union[
                     p = proofs.exch_l(p, 0)
                     p = proofs.all_l(p, q.var, q.body, Const(1))
                     p = proofs.contr_l(p, 0)
-                    return proofs.move_antecedent(p, 0, idx)
+                    return proofs.move(p, "ante", 0, idx)
 
             else:
                 eigen = fresh.next()
@@ -159,7 +159,7 @@ def _gprove(s: Sequent, fresh: _FreshNames, depth: int, tracker: dict) -> Union[
 
                 def rebuild(p: Proof) -> Proof:
                     p = proofs.ex_l(p, q.var, q.body, eigen)
-                    return proofs.move_antecedent(p, 0, idx)
+                    return proofs.move(p, "ante", 0, idx)
 
         assert _measure(prem) < before, "quantifier step must shrink the measure"
         sub = _gprove(prem, fresh, depth + 1, tracker)

@@ -528,51 +528,32 @@ def weak_l_many(p: Proof, formulas, positions) -> Proof:
     return p
 
 
-def pad_antecedent(p: Proof, target: tuple[Formula, ...], keep: list[int]) -> Proof:
-    """Weaken until the antecedent equals `target`; `keep` gives, in
-    order, the target positions of the formulas already present."""
+def pad(p: Proof, side: str, target: tuple[Formula, ...], keep: list[int]) -> Proof:
+    """Weaken until the cedent on `side` ("ante" or "succ") equals
+    `target`; `keep` gives, in order, the target positions of the
+    formulas already present."""
+    weaken = weak_l if side == "ante" else weak_r
     placed = sorted(keep)
     keep_set = set(keep)
     for ti, f in enumerate(target):
         if ti in keep_set:
             continue
         pos = sum(1 for existing in placed if existing < ti)
-        p = weak_l(p, f, pos)
+        p = weaken(p, f, pos)
         placed.append(ti)
         placed.sort()
     return p
 
 
-def pad_succedent(p: Proof, target: tuple[Formula, ...], keep: list[int]) -> Proof:
-    placed = sorted(keep)
-    keep_set = set(keep)
-    for ti, f in enumerate(target):
-        if ti in keep_set:
-            continue
-        pos = sum(1 for existing in placed if existing < ti)
-        p = weak_r(p, f, pos)
-        placed.append(ti)
-        placed.sort()
-    return p
-
-
-def move_antecedent(p: Proof, src: int, dst: int) -> Proof:
-    """Exchange chain moving the antecedent formula at src to dst."""
+def move(p: Proof, side: str, src: int, dst: int) -> Proof:
+    """Exchange chain moving the formula at src of the cedent on `side`
+    ("ante" or "succ") to dst."""
+    exch = exch_l if side == "ante" else exch_r
     while src < dst:
-        p = exch_l(p, src)
+        p = exch(p, src)
         src += 1
     while src > dst:
-        p = exch_l(p, src - 1)
-        src -= 1
-    return p
-
-
-def move_succedent(p: Proof, src: int, dst: int) -> Proof:
-    while src < dst:
-        p = exch_r(p, src)
-        src += 1
-    while src > dst:
-        p = exch_r(p, src - 1)
+        p = exch(p, src - 1)
         src -= 1
     return p
 

@@ -123,7 +123,7 @@ def connective_step(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Reb
             raise NotDecomposableError(f"no principal connective at succedent {idx}")
 
         def rebuild(ps: list[Proof]) -> Proof:
-            return proofs.move_succedent(rebuild_rule(ps), last, idx)
+            return proofs.move(rebuild_rule(ps), "succ", last, idx)
 
         return prems, rebuild
 
@@ -142,7 +142,7 @@ def connective_step(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Reb
         raise NotDecomposableError(f"no principal connective at antecedent {idx}")
 
     def rebuild(ps: list[Proof]) -> Proof:
-        return proofs.move_antecedent(rebuild_rule(ps), 0, idx)
+        return proofs.move(rebuild_rule(ps), "ante", 0, idx)
 
     return prems, rebuild
 
@@ -173,17 +173,17 @@ def oracle_step(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Rebuild
             # Left: cut the 1-instance against E2.
             prem_a = proofs.weak_r(rec1, r_a, len(delta))
             prem_b = proofs.exch_l(e2, 0)  # R1, A |- RA
-            prem_b = proofs.pad_antecedent(prem_b, (r_one, a) + gamma, [0, 1])
-            prem_b = proofs.pad_succedent(prem_b, delta + (r_a,), [len(delta)])
+            prem_b = proofs.pad(prem_b, "ante", (r_one, a) + gamma, [0, 1])
+            prem_b = proofs.pad(prem_b, "succ", delta + (r_a,), [len(delta)])
             left = proofs.cut(prem_a, prem_b)  # A, Gamma |- Delta, RA
             # Right: cut the 0-instance against E4.
             prem_a = proofs.weak_r(rec2, r_a, len(delta) + 1)
-            prem_b = proofs.pad_antecedent(e4, (r_zero,) + gamma, [0])
-            prem_b = proofs.pad_succedent(prem_b, delta + (a, r_a), [len(delta), len(delta) + 1])
+            prem_b = proofs.pad(e4, "ante", (r_zero,) + gamma, [0])
+            prem_b = proofs.pad(prem_b, "succ", delta + (a, r_a), [len(delta), len(delta) + 1])
             right = proofs.cut(prem_a, prem_b)  # Gamma |- Delta, A, RA
             # Cut on A.
             final = proofs.cut(proofs.exch_r(right, len(delta)), left)
-            return proofs.move_succedent(final, len(delta), idx)
+            return proofs.move(final, "succ", len(delta), idx)
 
         return [prem1, prem2], rebuild
 
@@ -197,19 +197,19 @@ def oracle_step(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Rebuild
         e1 = proofs.derive_scheme("E1", a, before, after)
         e3 = proofs.derive_scheme("E3", a, before, after)
         # Left: cut the 1-instance against E1.
-        prem_a = proofs.pad_antecedent(e1, (a, r_a) + gamma, [0, 1])
-        prem_a = proofs.pad_succedent(prem_a, delta + (r_one,), [len(delta)])
+        prem_a = proofs.pad(e1, "ante", (a, r_a) + gamma, [0, 1])
+        prem_a = proofs.pad(prem_a, "succ", delta + (r_one,), [len(delta)])
         prem_b = proofs.weak_l(proofs.exch_l(rec1, 0), r_a, 2)
         prem_b_target = (r_one, a, r_a) + gamma
         assert prem_b.conclusion.antecedent == prem_b_target
         left = proofs.cut(prem_a, prem_b)  # A, RA, Gamma |- Delta
         # Right: cut the 0-instance against E3.
-        prem_a = proofs.pad_antecedent(e3, (r_a,) + gamma, [0])
-        prem_a = proofs.pad_succedent(prem_a, delta + (a, r_zero), [len(delta), len(delta) + 1])
+        prem_a = proofs.pad(e3, "ante", (r_a,) + gamma, [0])
+        prem_a = proofs.pad(prem_a, "succ", delta + (a, r_zero), [len(delta), len(delta) + 1])
         prem_b = proofs.weak_l(rec2, r_a, 1)
         right = proofs.cut(prem_a, prem_b)  # RA, Gamma |- Delta, A
         final = proofs.cut(right, left)
-        return proofs.move_antecedent(final, 0, idx)
+        return proofs.move(final, "ante", 0, idx)
 
     return [prem1, prem2], rebuild
 
@@ -250,18 +250,18 @@ def _base_counterexample(s: Sequent) -> Structure:
 def _base_proof(s: Sequent) -> Union[Proof, Structure]:
     if Const(1) in s.succedent:
         idx = s.succedent.index(Const(1))
-        p = proofs.pad_antecedent(proofs.ax_true(), s.antecedent, [])
-        return proofs.pad_succedent(p, s.succedent, [idx])
+        p = proofs.pad(proofs.ax_true(), "ante", s.antecedent, [])
+        return proofs.pad(p, "succ", s.succedent, [idx])
     if Const(0) in s.antecedent:
         idx = s.antecedent.index(Const(0))
-        p = proofs.pad_antecedent(proofs.ax_false(), s.antecedent, [idx])
-        return proofs.pad_succedent(p, s.succedent, [])
+        p = proofs.pad(proofs.ax_false(), "ante", s.antecedent, [idx])
+        return proofs.pad(p, "succ", s.succedent, [])
     common = [f for f in s.antecedent if f in s.succedent]
     if common:
         f = common[0]
         p = proofs.ax_id(f)
-        p = proofs.pad_antecedent(p, s.antecedent, [s.antecedent.index(f)])
-        return proofs.pad_succedent(p, s.succedent, [s.succedent.index(f)])
+        p = proofs.pad(p, "ante", s.antecedent, [s.antecedent.index(f)])
+        return proofs.pad(p, "succ", s.succedent, [s.succedent.index(f)])
     witness = _base_counterexample(s)
     assert eval_formula(validity_formula(s), witness) == 0
     return witness

@@ -11,7 +11,11 @@ chronological backtracking on an undo trail, serves sat_pc, valid_pc,
 sequent_valid and sat_pi1.  sat_pc decides the sorted atoms, then the
 strings as the formula's short-circuit evaluation queries them; sat_pi1
 decides the least unassigned key, sorted atoms before sorted strings.
-Both try 0 first and return the first witness in that order.
+Both try 0 first and return the first witness in that order.  The
+expansion and the engine fold with formulas.fold_assign, the engine
+also resolving the strings it has assigned.  holds_universally is the
+witness check: it decides exactly, through the same expansion, whether
+a structure satisfies a closed pi1 formula.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
-
-import numpy as np
 
 from .formulas import (
     And,
@@ -35,7 +37,6 @@ from .formulas import (
     Or,
     RApp,
     Sequent,
-    TRUE,
     all_names,
     and_all,
     atom_names_fast,
@@ -45,6 +46,7 @@ from .formulas import (
     free_atoms,
     is_quantifier_free,
     or_all,
+    substitute_all,
     walk,
 )
 
@@ -178,10 +180,27 @@ def sat_pc(f: Formula) -> Optional[Structure]:
             return "s" + unknown.args[0]
         raise AssertionError("a live part leaves no queried string unassigned")
 
-    engine = _Engine([f], branch)
+    engine = _Engine(_opened_conjuncts(f), branch)
     if not engine.solve():
         return None
     return _witness(names, engine.atoms, engine.strings)
+
+
+def _opened_conjuncts(f: Formula) -> list[Formula]:
+    """Top-level conjuncts of f, left to right, with each ~(A | B) opened
+    into ~A and ~B, so that an assignment refolds only the parts that
+    hold its key."""
+    out: list[Formula] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is And:
+            stack += (g.right, g.left)
+        elif type(g) is Not and type(g.child) is Or:
+            stack += (Not(g.child.right), Not(g.child.left))
+        else:
+            out.append(g)
+    return out
 
 
 def valid_pc(f: Formula) -> bool:
@@ -239,36 +258,6 @@ class UnsupportedShapeError(ValueError):
     """Input is not a universally quantified formula over a QF matrix."""
 
 
-def _rename_free(g: Formula, env: dict[str, str]) -> Formula:
-    """Rename free atoms per env, preserving unchanged subtrees.  The new
-    names are fresh across the whole formula, so capture is impossible."""
-    if not env:
-        return g
-    if isinstance(g, Atom):
-        new = env.get(g.name)
-        return g if new is None else Atom(new)
-    if isinstance(g, Const):
-        return g
-    if isinstance(g, Not):
-        c = _rename_free(g.child, env)
-        return g if c is g.child else Not(c)
-    if isinstance(g, (And, Or)):
-        left = _rename_free(g.left, env)
-        right = _rename_free(g.right, env)
-        if left is g.left and right is g.right:
-            return g
-        return type(g)(left, right)
-    if isinstance(g, RApp):
-        args = tuple(_rename_free(a, env) for a in g.args)
-        if all(a is b for a, b in zip(args, g.args)):
-            return g
-        return RApp(args)
-    if g.var in env:
-        env = {k: v for k, v in env.items() if k != g.var}
-    body = _rename_free(g.body, env)
-    return g if body is g.body else type(g)(g.var, body)
-
-
 def pull_universals(f: Formula) -> tuple[tuple[str, ...], Formula]:
     """Strip universal quantifiers reachable through &, | and leading
     Forall nodes, renaming each bound variable to a fresh name.
@@ -288,14 +277,14 @@ def pull_universals(f: Formula) -> tuple[tuple[str, ...], Formula]:
                 taken.add(name)
                 return name
 
-    def spine(g: Formula, env: dict[str, str]) -> Formula:
+    def spine(g: Formula, env: dict[str, Formula]) -> Formula:
         if isinstance(g, Forall):
             name = fresh()
             order.append(name)
-            return spine(g.body, {**env, g.var: name})
+            return spine(g.body, {**env, g.var: Atom(name)})
         if isinstance(g, (And, Or)):
             return type(g)(spine(g.left, env), spine(g.right, env))
-        return _rename_free(g, env)
+        return substitute_all(g, env)
 
     matrix = spine(f, {})
     if not is_quantifier_free(matrix):
@@ -474,9 +463,6 @@ def _expand(conjunct: Formula, support: list[str], limits: SolverLimits, counter
     return list(out)
 
 
-_BITS = (FALSE, TRUE)
-
-
 def _as_literal(g: Formula) -> Optional[tuple[str, int]]:
     """Recognize a forced unit: (key, bit), where the key is "a" + name
     for an atom or "s" + string for an oracle string."""
@@ -489,43 +475,6 @@ def _as_literal(g: Formula) -> Optional[tuple[str, int]]:
     if type(g) is RApp and all(type(a) is Const for a in g.args):
         return "s" + "".join(str(a.bit) for a in g.args), positive
     return None
-
-
-def _fold_ground(f: Formula, atoms: dict[str, int], strings: dict[str, int]) -> Formula:
-    """fold_assign extended to resolve constant-argument R applications
-    against a partial string assignment."""
-    kind = type(f)
-    if kind is Atom:
-        bit = atoms.get(f.name)
-        return f if bit is None else _BITS[bit]
-    if kind is Const:
-        return f
-    if kind is Not:
-        c = _fold_ground(f.child, atoms, strings)
-        if type(c) is Const:
-            return _BITS[1 - c.bit]
-        return f if c is f.child else Not(c)
-    if kind is And or kind is Or:
-        absorbing = 0 if kind is And else 1
-        left = _fold_ground(f.left, atoms, strings)
-        if type(left) is Const:
-            return left if left.bit == absorbing else _fold_ground(f.right, atoms, strings)
-        right = _fold_ground(f.right, atoms, strings)
-        if type(right) is Const:
-            return right if right.bit == absorbing else left
-        if left is f.left and right is f.right:
-            return f
-        return kind(left, right)
-    if kind is RApp:
-        args = tuple([_fold_ground(a, atoms, strings) for a in f.args])
-        if all(type(a) is Const for a in args):
-            bit = strings.get("".join([str(a.bit) for a in args]))
-            if bit is not None:
-                return _BITS[bit]
-        if all(a is b for a, b in zip(args, f.args)):
-            return f
-        return RApp(args)
-    raise ValueError("ground constraints must be quantifier-free")
 
 
 class _Engine:
@@ -586,7 +535,7 @@ class _Engine:
                 continue
             live[cid] = False
             self.trail.append(cid)
-            g = _fold_ground(parts[cid], self.atoms, self.strings)
+            g = fold_assign(parts[cid], self.atoms, self.strings)
             if type(g) is Const:
                 if g.bit == 0:
                     self.conflicts += 1
@@ -755,75 +704,3 @@ def valid_q_bruteforce(f: Formula, max_arity: int = 4) -> int:
             return 0
     return 1
 
-
-# ---------------------------------------------------------------------------
-# Vectorized evaluation for large-scale matrix checks.
-
-def _pack_strings(strings: Iterable[str]) -> np.ndarray:
-    return np.array(sorted(int(s[::-1], 2) if s else 0 for s in strings), dtype=np.uint64)
-
-
-def eval_batch(f: Formula, env: dict[str, np.ndarray], structure: Structure) -> np.ndarray:
-    """Evaluate a quantifier-free formula on many assignments at once.
-
-    env maps atom names to equal-length boolean arrays.  R arguments are
-    packed into integers (argument 1 is the low-order bit) and matched
-    against the same-length oracle strings.
-    """
-    packed: dict[int, np.ndarray] = {}
-
-    def oracle_for(arity: int) -> np.ndarray:
-        if arity not in packed:
-            packed[arity] = _pack_strings(s for s in structure.oracle if len(s) == arity)
-        return packed[arity]
-
-    def go(g: Formula) -> np.ndarray:
-        if isinstance(g, Atom):
-            arr = env.get(g.name)
-            if arr is None:
-                raise UnassignedAtomError(g.name)
-            return arr
-        if isinstance(g, Const):
-            size = len(next(iter(env.values()))) if env else 1
-            return np.full(size, bool(g.bit))
-        if isinstance(g, Not):
-            return ~go(g.child)
-        if isinstance(g, And):
-            return go(g.left) & go(g.right)
-        if isinstance(g, Or):
-            return go(g.left) | go(g.right)
-        if isinstance(g, RApp):
-            if len(g.args) > 63:
-                raise ValueError("batched evaluation supports R arity up to 63")
-            if not g.args:
-                size = len(next(iter(env.values()))) if env else 1
-                return np.full(size, "" in structure.oracle)
-            vals = [go(a) for a in g.args]
-            code = np.zeros(len(vals[0]), dtype=np.uint64)
-            for i, v in enumerate(vals):
-                code |= v.astype(np.uint64) << np.uint64(i)
-            table = oracle_for(len(g.args))
-            if table.size == 0:
-                return np.zeros(len(vals[0]), dtype=bool)
-            return np.isin(code, table)
-        raise ValueError("eval_batch expects a quantifier-free formula")
-
-    return go(f)
-
-
-def exhaustive_assignments(names: list[str], chunk: int = 1 << 16):
-    """Yield boolean-array environments covering all 2^k assignments."""
-    k = len(names)
-    total = 1 << k
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        yield {name: (idx >> np.uint64(i)) & np.uint64(1) != 0 for i, name in enumerate(names)}
-
-
-def sampled_assignments(names: list[str], samples: int, seed: int, chunk: int = 1 << 16):
-    rng = np.random.default_rng(seed)
-    remaining = samples
-    while remaining > 0:
-        size = min(chunk, remaining)
-        remaining -= size
-        yield {name: rng.integers(0, 2, size=size, dtype=np.uint8) != 0 for name in names}

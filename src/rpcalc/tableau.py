@@ -24,9 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
-from . import machines, semantics
+from . import machines
 from .circuits import (
     circuit_to_formula,
     decoder_circuit,
@@ -48,7 +46,7 @@ from .formulas import (
     or_all,
 )
 from .machines import BLANK, MARKER, MachineSpec, Run, check_run, is_normalized
-from .semantics import Structure, pull_universals
+from .semantics import Structure
 
 
 class EncodingError(ValueError):
@@ -501,40 +499,3 @@ def witness_structure(
                     strings.add(index_string(enc, cell, offset, time))
     return Structure({}, frozenset(strings))
 
-
-@dataclass(frozen=True)
-class MatrixReport:
-    mode: str  # "exhaustive" | "sampled"
-    checked: int
-    violations: int
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
-
-
-def verify_witness(
-    formula: Formula,
-    structure: Structure,
-    exhaustive_limit: int = 22,
-    samples: int = 1_000_000,
-    seed: int = 0,
-) -> MatrixReport:
-    """Check the matrix of a universally quantified formula against a
-    structure: exhaustively when the universal count is small, otherwise
-    on uniformly sampled assignments."""
-    uvars, matrix = pull_universals(formula)
-    names = list(uvars)
-    if len(names) <= exhaustive_limit:
-        checked = violations = 0
-        for env in semantics.exhaustive_assignments(names):
-            result = semantics.eval_batch(matrix, env, structure)
-            checked += result.size
-            violations += int(np.count_nonzero(~result))
-        return MatrixReport("exhaustive", checked, violations)
-    checked = violations = 0
-    for env in semantics.sampled_assignments(names, samples, seed):
-        result = semantics.eval_batch(matrix, env, structure)
-        checked += result.size
-        violations += int(np.count_nonzero(~result))
-    return MatrixReport("sampled", checked, violations)

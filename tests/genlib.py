@@ -21,7 +21,7 @@ from rpcalc.formulas import (
     walk,
 )
 from rpcalc.machines import MachineSpec, Transition
-from rpcalc.semantics import Structure, eval_formula, sequent_valid
+from rpcalc.semantics import Structure, eval_formula, pull_universals, sequent_valid
 
 ATOMS = ("p", "q", "r", "s")
 
@@ -121,6 +121,16 @@ def naive_sat_flat(f: Formula):
             if eval_formula(f, tau) == 1:
                 return tau
     return None
+
+
+def naive_holds_universally(f: Formula, structure: Structure) -> bool:
+    """Reference for the exact witness check: the matrix of a closed pi1
+    formula evaluated under all 2^k assignments of its pulled universals."""
+    uvars, matrix = pull_universals(f)
+    for bits in itertools.product((0, 1), repeat=len(uvars)):
+        if eval_formula(matrix, Structure(dict(zip(uvars, bits)), structure.oracle)) == 0:
+            return False
+    return True
 
 
 def brute_sat_q(f: Formula, max_arity: int = 4):

@@ -51,7 +51,7 @@ from rpcalc.semantics import (
     validity_formula,
 )
 from rpcalc.syntax import format_formula, parse_formula, parse_sequent, sequent_length
-from rpcalc.tableau import compile_with_info, verify_witness, witness_structure
+from rpcalc.tableau import compile_with_info, witness_structure
 from rpcalc.syntax import length
 
 
@@ -177,11 +177,9 @@ def test_criterion_8_machine_compilation_end_to_end():
     run = simulate(normalized, "10", 16)
     assert run is not None
     witness = witness_structure(normalized, "10", run, info.params)
-    check = verify_witness(formula, witness, exhaustive_limit=22, samples=1_000_000, seed=8)
-    assert check.violations == 0
     limits = SolverLimits(max_universal_vars=64, max_oracle_strings=1 << 16, max_structures=1 << 22)
     assert holds_universally(formula, witness, limits)
-    mode = f"{check.mode}, {check.checked} assignments, and exact"
+    mode = f"exact over {len(info.universal_vars)} universals"
 
     unsat_formula, _ = compile_with_info(machine, "00", 1)
     from rpcalc.semantics import sat_pi1

@@ -221,3 +221,18 @@ def test_deep_nesting_is_a_usage_error(tmp_path, command):
     assert proc.returncode == 2
     assert proc.stderr == "error: input nested too deeply\n"
     assert proc.stdout == ""
+
+
+def test_import_leaves_numpy_unloaded():
+    # the package has no runtime dependencies; a fresh interpreter shows
+    # whether anything it imports pulls numpy in
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, rpcalc, rpcalc.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

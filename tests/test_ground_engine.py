@@ -289,13 +289,20 @@ def assert_sat_pc_agrees(f):
 @given(
     st.integers(0, 2**32 - 1),
     st.sampled_from([(3, 3, 3), (2, 3, 4), (4, 2, 3)]),
+    st.sampled_from(["plain", "negated", "negated_or"]),
 )
-def test_sat_pc_matches_reference_on_flat_formulas(seed, shape):
+def test_sat_pc_matches_reference_on_flat_formulas(seed, shape, sign):
+    # negated inputs are what valid_pc and the CLI's valid hand sat_pc,
+    # whose ~(A | B) parts the engine opens into ~A and ~B
     max_r, max_arity, depth = shape
     rng = random.Random(seed)
     f = random_flat_formula(rng, max_r=max_r, max_arity=max_arity, depth=depth)
     if seed % 3:
         f = And(f, Not(random_flat_formula(rng, max_r=1, depth=3)))
+    if sign == "negated":
+        f = Not(f)
+    elif sign == "negated_or":
+        f = Not(Or(f, random_flat_formula(rng, max_r=max_r, max_arity=max_arity, depth=depth)))
     assert_sat_pc_agrees(f)
 
 

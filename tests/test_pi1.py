@@ -10,6 +10,7 @@ from genlib import (
     first_symbol_one_machine,
     guess_branch_machine,
     immediate_accept_machine,
+    naive_holds_universally,
 )
 from rpcalc import semantics
 from rpcalc.formulas import (
@@ -17,6 +18,7 @@ from rpcalc.formulas import (
     And,
     Atom,
     Const,
+    Forall,
     Not,
     Or,
     RApp,
@@ -37,6 +39,7 @@ from rpcalc.semantics import (
     Structure,
     UnsupportedShapeError,
     eval_formula,
+    holds_universally,
     pull_universals,
     sat_pc,
     sat_pi1,
@@ -323,3 +326,33 @@ def test_expansion_matches_naive_reference_on_guarded_formulas(f):
 )
 def test_expansion_matches_naive_reference_on_compiled_machines(machine, x):
     assert_expansions_agree(reparsed_compile(machine(), x, 1))
+
+
+@st.composite
+def closed_pi1(draw, depth=2):
+    """Closed pi1 formulas: universals under & and | with binder names
+    reused across branches, over guarded or unguarded matrices, closed
+    by a universal prefix over whatever is left free."""
+
+    def spine(d):
+        kind = draw(st.sampled_from(["leaf", "all", "and", "or"] if d else ["leaf"]))
+        if kind == "leaf":
+            if draw(st.booleans()):
+                return draw(guarded(str(draw(st.integers(0, 1))), depth=0))
+            return draw(small_formula([Atom(v) for v in INPUTS]))
+        if kind == "all":
+            return Forall(draw(st.sampled_from(INPUTS)), spine(d - 1))
+        return (And if kind == "and" else Or)(spine(d - 1), spine(d - 1))
+
+    f = spine(depth)
+    return foralls(sorted(free_atoms(f)), f)
+
+
+STRINGS = ["", "0", "1", "00", "01", "10", "11"]
+
+
+@settings(max_examples=200)
+@given(closed_pi1(), st.frozensets(st.sampled_from(STRINGS)))
+def test_exact_check_matches_naive_reference(f, oracle):
+    structure = Structure({}, oracle)
+    assert holds_universally(f, structure, WIDE) == naive_holds_universally(f, structure)

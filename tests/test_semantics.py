@@ -9,10 +9,8 @@ from rpcalc.semantics import (
     EMPTY_STRUCTURE,
     Structure,
     UnassignedAtomError,
-    eval_batch,
     eval_formula,
     eval_recording,
-    exhaustive_assignments,
     sat_pc,
     sequent_valid,
     valid_pc,
@@ -182,23 +180,3 @@ def test_brute_force_validity():
         valid_q_bruteforce(parse_formula("R(p)"))
     # no oracle applications at all: plain evaluation
     assert valid_q_bruteforce(parse_formula("all x. x | ~x")) == 1
-
-
-def test_eval_batch_agrees_with_eval():
-    rng = random.Random(25)
-    for _ in range(40):
-        f = random_flat_formula(rng, depth=3)
-        names = sorted({a.name for a in _atoms(f)})
-        oracle = Structure(
-            {},
-            frozenset(
-                "".join(rng.choice("01") for _ in range(rng.randint(0, 3))) for _ in range(4)
-            ),
-        )
-        if not names:
-            names = ["p"]
-        for env in exhaustive_assignments(names, chunk=64):
-            got = eval_batch(f, env, oracle)
-            for row in range(len(got)):
-                point = {n: int(env[n][row]) for n in names}
-                assert int(got[row]) == eval_formula(f, Structure(point, oracle.oracle))

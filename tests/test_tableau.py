@@ -4,10 +4,11 @@ from genlib import (
     first_symbol_one_machine,
     guess_branch_machine,
     immediate_accept_machine,
+    naive_holds_universally,
     reject_all_machine,
 )
 from rpcalc.formulas import RApp, walk
-from rpcalc.machines import normalize_machine, simulate
+from rpcalc.machines import Run, initial_config, normalize_machine, simulate
 from rpcalc.semantics import (
     SAT,
     UNSAT,
@@ -28,7 +29,6 @@ from rpcalc.tableau import (
     compile_with_info,
     default_params,
     index_string,
-    verify_witness,
     witness_structure,
 )
 from rpcalc import classify
@@ -90,9 +90,7 @@ def test_witness_satisfies_start_exhaustively(norm_first1):
     run = simulate(norm_first1, "10", 16)
     witness = witness_structure(norm_first1, "10", run, enc)
     s = build_S(norm_first1, "10", enc)
-    report = verify_witness(s, witness, exhaustive_limit=22)
-    assert report.mode == "exhaustive"
-    assert report.ok
+    assert holds_universally(s, witness, LIMITS)
 
 
 def test_start_length_linear(norm_first1):
@@ -121,8 +119,7 @@ def test_start_rejects_flipped_input_bit(norm_first1):
     key = index_string(enc, 1, 0, 0)
     assert key in witness.oracle
     mutated = Structure({}, witness.oracle - {key})
-    report = verify_witness(build_S(norm_first1, "10", enc), mutated, exhaustive_limit=22)
-    assert report.violations > 0
+    assert not holds_universally(build_S(norm_first1, "10", enc), mutated, LIMITS)
 
 
 def test_witness_satisfies_step_and_mutation_breaks_it(norm_first1):
@@ -169,24 +166,41 @@ def test_end_accept_vs_reject(norm_first1):
     end = build_E(norm_first1, enc)
     accept_run = simulate(norm_first1, "10", 16)
     good = witness_structure(norm_first1, "10", accept_run, enc)
-    report = verify_witness(end, good, exhaustive_limit=22)
-    assert report.ok
+    assert holds_universally(end, good, LIMITS)
     # a rejecting computation never parks the final state at cell 0
-    from rpcalc.machines import Run, initial_config
-
     stuck = initial_config(norm_first1, "00")
     bad = witness_structure(norm_first1, "00", Run((stuck,), ()), enc)
-    report = verify_witness(end, bad, exhaustive_limit=22)
-    assert not report.ok
+    assert not holds_universally(end, bad, LIMITS)
+
+
+def _start_end_cases(norm):
+    """(formula, structure, holds) for the start and end constraints of
+    first1 on "10", against the run's witness and the mutated witnesses
+    of the tests above."""
+    enc = default_params(norm, 2, 2)
+    good = witness_structure(norm, "10", simulate(norm, "10", 16), enc)
+    flipped = Structure({}, good.oracle - {index_string(enc, 1, 0, 0)})
+    stuck = witness_structure(norm, "00", Run((initial_config(norm, "00"),), ()), enc)
+    start, end = build_S(norm, "10", enc), build_E(norm, enc)
+    return {
+        "start_good": (start, good, True),
+        "start_flipped_input_bit": (start, flipped, False),
+        "end_good": (end, good, True),
+        "end_stuck": (end, stuck, False),
+    }
+
+
+@pytest.mark.parametrize("case", ["start_good", "start_flipped_input_bit", "end_good", "end_stuck"])
+def test_exact_check_matches_naive_reference(norm_first1, case):
+    formula, structure, holds = _start_end_cases(norm_first1)[case]
+    assert naive_holds_universally(formula, structure) is holds
+    assert holds_universally(formula, structure, LIMITS) is holds
 
 
 def test_witness_satisfies_full_matrix(compiled_10, norm_first1):
     formula, info = compiled_10
     run = simulate(norm_first1, "10", 16)
     witness = witness_structure(norm_first1, "10", run, info.params)
-    report = verify_witness(formula, witness, exhaustive_limit=22, samples=120_000, seed=3)
-    assert report.mode == "sampled"
-    assert report.ok
     assert holds_universally(formula, witness, LIMITS)
 
 
@@ -217,8 +231,7 @@ def test_nondeterministic_machine_end_to_end():
     formula, info = compile_with_info(machine, "1", 2)
     run = simulate(norm, "1", 8)
     witness = witness_structure(norm, "1", run, info.params)
-    report = verify_witness(formula, witness, exhaustive_limit=22, samples=120_000, seed=4)
-    assert report.ok
+    assert holds_universally(formula, witness, LIMITS)
     # input '0' forces the solver to abandon the first guess and take
     # the second branch
     assert sat_pi1(compile_machine(machine, "0", 2), LIMITS).status == SAT
