@@ -4,13 +4,16 @@ Formulas are built from atoms, the constants 0 and 1, the connectives
 ~ & |, applications R(A1, ..., An) of the oracle relation symbol R
 (n >= 0 is allowed), and the Boolean quantifiers `all` / `ex`.  All
 values are immutable and hashable; every operation is a pure function.
+Nodes are hash-consed (see _Node), so equal formulas are one object and
+a node's measures are computed once and kept on it.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import AbstractSet, Any, Callable, Iterator, Optional, Union
 
 _ATOM_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
@@ -32,64 +35,242 @@ def _check_name(name: str) -> None:
         raise ValueError(f"invalid atom name: {name!r} (expected [a-z][a-zA-Z0-9_]*)")
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class _Entry(weakref.ref):
+    """A unique-table entry: a weak reference that knows its own key."""
 
-    def __post_init__(self) -> None:
-        _check_name(self.name)
+    __slots__ = ("key",)
 
 
-@dataclass(frozen=True)
-class Const:
-    bit: int
-
-    def __post_init__(self) -> None:
-        if self.bit not in (0, 1):
-            raise ValueError(f"constant bit must be 0 or 1, got {self.bit!r}")
+# (class, field or id(child), ...) -> entry of the one live node with
+# those fields.  Keying children by id is sound: a live node keeps its
+# children alive, and its entry is removed as it dies, before they can.
+_TABLE: dict[tuple, _Entry] = {}
 
 
-@dataclass(frozen=True)
-class Not:
-    child: "Formula"
+def _forget(entry: _Entry, table: dict = _TABLE) -> None:
+    # the table is bound as a default, so nodes that die while the
+    # interpreter tears the module down are still removed cleanly
+    if table.get(entry.key) is entry:
+        del table[entry.key]
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class _Node:
+    """A hash-consed formula node.  Constructors return the one live node
+    with the given class and fields, so structural equality is identity:
+    `==` and `hash` are object's own.  Hashes therefore vary between
+    runs, as string hashes already did, and no output may depend on them.
+
+    Each node stores, when built, `quantifier_free` and `cost`: the
+    connectives, quantifier nodes and non-constant R arguments it
+    contains, which is the paper's cost on quantifier-free formulas.
+    Its token length (syntax.length), key set (key_set), node count and
+    quantifier depth stay None until their first request.
+
+    A node is built as an instance of a mutable class with the same
+    slots (its "fields" class) and then given its public class, whose
+    __setattr__ refuses writes: assigning slots directly is several
+    times cheaper than object.__setattr__."""
+
+    __slots__ = ("quantifier_free", "cost", "_length", "_keys", "_size", "_depth", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def _children(self) -> tuple["Formula", ...]:
+        return ()
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class _Frozen:
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
 
-@dataclass(frozen=True)
-class RApp:
-    args: tuple["Formula", ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-
-
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: "Formula"
-
-    def __post_init__(self) -> None:
-        _check_name(self.var)
+def _finish(node: _Node, cls: type, key: tuple, quantifier_free: bool, cost: int):
+    """Store the eager measures on a node still of its fields class,
+    give it its public class and enter it in the unique table."""
+    node.quantifier_free = quantifier_free
+    node.cost = cost
+    node._length = node._keys = node._size = node._depth = None
+    node.__class__ = cls
+    entry = _Entry(node, _forget)
+    entry.key = key
+    _TABLE[key] = entry
+    return node
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Formula"
+class _AtomFields(_Node):
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
-        _check_name(self.var)
+
+class Atom(_Frozen, _AtomFields):
+    __slots__ = ()
+    __match_args__ = ("name",)
+
+    def __new__(cls, name: str):
+        if not isinstance(name, str):
+            _check_name(name)
+        key = (cls, name)
+        entry = _TABLE.get(key)
+        if entry is not None and (node := entry()) is not None:
+            return node
+        _check_name(name)
+        node = object.__new__(_AtomFields)
+        node.name = name
+        return _finish(node, cls, key, True, 0)
+
+
+class _ConstFields(_Node):
+    __slots__ = ("bit",)
+
+
+class Const(_Frozen, _ConstFields):
+    __slots__ = ()
+    __match_args__ = ("bit",)
+
+    def __new__(cls, bit: int):
+        if bit not in (0, 1):
+            raise ValueError(f"constant bit must be 0 or 1, got {bit!r}")
+        key = (cls, bit)
+        entry = _TABLE.get(key)
+        if entry is not None and (node := entry()) is not None:
+            return node
+        node = object.__new__(_ConstFields)
+        node.bit = int(bit)
+        return _finish(node, cls, key, True, 0)
+
+
+class _NotFields(_Node):
+    __slots__ = ("child",)
+
+
+class Not(_Frozen, _NotFields):
+    __slots__ = ()
+    __match_args__ = ("child",)
+
+    def __new__(cls, child: "Formula"):
+        key = (cls, id(child))
+        entry = _TABLE.get(key)
+        if entry is not None and (node := entry()) is not None:
+            return node
+        node = object.__new__(_NotFields)
+        node.child = child
+        return _finish(node, cls, key, child.quantifier_free, child.cost + 1)
+
+    def _children(self) -> tuple["Formula", ...]:
+        return (self.child,)
+
+
+class _BinaryFields(_Node):
+    __slots__ = ("left", "right")
+
+
+class _Binary(_Frozen, _BinaryFields):
+    __slots__ = ()
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: "Formula", right: "Formula"):
+        key = (cls, id(left), id(right))
+        entry = _TABLE.get(key)
+        if entry is not None and (node := entry()) is not None:
+            return node
+        node = object.__new__(_BinaryFields)
+        node.left = left
+        node.right = right
+        return _finish(
+            node,
+            cls,
+            key,
+            left.quantifier_free and right.quantifier_free,
+            left.cost + right.cost + 1,
+        )
+
+    def _children(self) -> tuple["Formula", ...]:
+        return (self.left, self.right)
+
+
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class _RAppFields(_Node):
+    __slots__ = ("args",)
+
+
+class RApp(_Frozen, _RAppFields):
+    __slots__ = ()
+    __match_args__ = ("args",)
+
+    def __new__(cls, args: tuple["Formula", ...]):
+        args = tuple(args)
+        key = (cls, *map(id, args))
+        entry = _TABLE.get(key)
+        if entry is not None and (node := entry()) is not None:
+            return node
+        node = object.__new__(_RAppFields)
+        node.args = args
+        return _finish(
+            node,
+            cls,
+            key,
+            all([a.quantifier_free for a in args]),
+            sum([a.cost + (type(a) is not Const) for a in args]),
+        )
+
+    def _children(self) -> tuple["Formula", ...]:
+        return self.args
+
+
+class _QuantifierFields(_Node):
+    __slots__ = ("var", "body")
+
+
+class _Quantifier(_Frozen, _QuantifierFields):
+    __slots__ = ()
+    __match_args__ = ("var", "body")
+
+    def __new__(cls, var: str, body: "Formula"):
+        if not isinstance(var, str):
+            _check_name(var)
+        key = (cls, var, id(body))
+        entry = _TABLE.get(key)
+        if entry is not None and (node := entry()) is not None:
+            return node
+        _check_name(var)
+        node = object.__new__(_QuantifierFields)
+        node.var = var
+        node.body = body
+        return _finish(node, cls, key, False, body.cost + 1)
+
+    def _children(self) -> tuple["Formula", ...]:
+        return (self.body,)
+
+
+class Forall(_Quantifier):
+    __slots__ = ()
+
+
+class Exists(_Quantifier):
+    __slots__ = ()
 
 
 Formula = Union[Atom, Const, Not, And, Or, RApp, Forall, Exists]
@@ -181,50 +362,51 @@ def walk(f: Formula) -> Iterator[Formula]:
 
 
 def is_quantifier_free(f: Formula) -> bool:
+    return f.quantifier_free
+
+
+def _fill(f: Formula, slot: str, compute: Callable[[Formula], Any]) -> Any:
+    """A lazily filled node measure: f's `slot`, computed first, children
+    before parents, on f and every node below it where it is still None.
+    `compute(g)` may read the slot on g's children.  The walk keeps its
+    own stack: compiled formulas nest deeper than the recursion limit."""
+    value = getattr(f, slot)
+    if value is not None:
+        return value
     stack = [f]
     while stack:
-        g = stack.pop()
-        kind = type(g)
-        if kind is Not:
-            stack.append(g.child)
-        elif kind is And or kind is Or:
-            stack.append(g.left)
-            stack.append(g.right)
-        elif kind is RApp:
-            stack.extend(g.args)
-        elif kind is Forall or kind is Exists:
-            return False
-    return True
+        g = stack[-1]
+        missing = [c for c in g._children() if getattr(c, slot) is None]
+        if missing:
+            stack += missing
+            continue
+        stack.pop()
+        if getattr(g, slot) is None:
+            object.__setattr__(g, slot, compute(g))
+    return getattr(f, slot)
+
+
+def _depth_of(g: Formula) -> int:
+    if isinstance(g, (Forall, Exists)):
+        return g.body._depth + 1
+    return max([c._depth for c in g._children()], default=0)
 
 
 def quantifier_depth(f: Formula) -> int:
-    if isinstance(f, (Atom, Const)):
-        return 0
-    if isinstance(f, Not):
-        return quantifier_depth(f.child)
-    if isinstance(f, (And, Or)):
-        return max(quantifier_depth(f.left), quantifier_depth(f.right))
-    if isinstance(f, RApp):
-        return max((quantifier_depth(a) for a in f.args), default=0)
-    return 1 + quantifier_depth(f.body)
+    return _fill(f, "_depth", _depth_of)
 
 
 def node_count(f: Formula) -> int:
-    return sum(1 for _ in walk(f))
+    """Tree size: subformulas counted once per occurrence."""
+    return _fill(f, "_size", lambda g: 1 + sum([c._size for c in g._children()]))
 
 
 def cost(f: Formula) -> int:
     """Connective count plus, per R application, the number of arguments
     that are not the literal constants 0 or 1 (recursing into arguments)."""
-    if not is_quantifier_free(f):
+    if not f.quantifier_free:
         raise QuantifiedCostError("cost undefined for quantified formulas")
-    total = 0
-    for g in walk(f):
-        if isinstance(g, (Not, And, Or)):
-            total += 1
-        elif isinstance(g, RApp):
-            total += sum(1 for a in g.args if not isinstance(a, Const))
-    return total
+    return f.cost
 
 
 def cost_sequent(s: Sequent) -> int:
@@ -404,34 +586,73 @@ def fold_assign(
             return f
         return kind(left, right)
     if kind is RApp:
-        args = tuple([fold_assign(a, atoms, strings) for a in f.args])
-        if strings and all(type(a) is Const for a in args):
+        args = f.args
+        if f.cost:  # cost 0: every argument is a constant already
+            args = tuple([fold_assign(a, atoms, strings) for a in args])
+        if strings and all([type(a) is Const for a in args]):
             bit = strings.get("".join([str(a.bit) for a in args]))
             if bit is not None:
                 return _BITS[bit]
-        if all(a is b for a, b in zip(args, f.args)):
+        if args is f.args or all([a is b for a, b in zip(args, f.args)]):
             return f
         return RApp(args)
     raise ValueError("fold_assign expects a quantifier-free formula")
 
 
-def atom_names_fast(f: Formula) -> set[str]:
-    """Names of all atoms in a quantifier-free formula (all are free)."""
+# Key sets of at most this many keys are cached on their nodes.  Larger
+# ones are gathered from the cached sets below them at each request, so
+# the cache stays linear in the number of nodes: a conjunction chain of
+# n clauses would otherwise cache n ever larger prefix sets.
+_CACHED_KEYS = 64
+
+_NO_KEYS: frozenset[str] = frozenset()
+
+
+def _keys_of(g: Formula) -> Union[frozenset[str], bool]:
+    """g's key set from its children's, or False when it is too large to
+    cache.  Quantified subformulas contribute no keys."""
+    kind = type(g)
+    if kind is Atom:
+        return frozenset(("a" + g.name,))
+    if kind is Not:
+        return g.child._keys
+    if kind is RApp:
+        if g.cost == 0:  # every argument a constant
+            return frozenset(("s" + "".join([str(a.bit) for a in g.args]),))
+    elif kind is not And and kind is not Or:
+        return _NO_KEYS
+    out = _NO_KEYS
+    for c in g._children():
+        keys = c._keys
+        if keys is False:
+            return False
+        if not keys <= out:
+            out = keys if out <= keys else out | keys
+    return out if len(out) <= _CACHED_KEYS else False
+
+
+def key_set(f: Formula) -> AbstractSet[str]:
+    """The keys of a quantifier-free formula: "a" + name for each atom
+    and "s" + string for each R application whose arguments are all
+    constants.  Keys sort like ("a", name) and ("s", string) pairs."""
+    keys = _fill(f, "_keys", _keys_of)
+    if keys is not False:
+        return keys
     out: set[str] = set()
     stack = [f]
     while stack:
         g = stack.pop()
-        kind = type(g)
-        if kind is Atom:
-            out.add(g.name)
-        elif kind is Not:
-            stack.append(g.child)
-        elif kind is And or kind is Or:
-            stack.append(g.left)
-            stack.append(g.right)
-        elif kind is RApp:
-            stack.extend(g.args)
+        keys = g._keys
+        if keys is False:
+            stack += g._children()
+        else:
+            out |= keys
     return out
+
+
+def atom_names_fast(f: Formula) -> set[str]:
+    """Names of all atoms in a quantifier-free formula (all are free)."""
+    return {key[1:] for key in key_set(f) if key[0] == "a"}
 
 
 def _flatten(f: Formula, kind: type) -> list[Formula]:

@@ -27,17 +27,15 @@ from .formulas import (
     Forall,
     Not,
     Or,
-    RApp,
     Sequent,
     all_names,
     is_quantifier_free,
     node_count,
     quantifier_depth,
     substitute,
-    walk,
 )
 from .proofs import Proof, check_g  # re-exported: check_g lives with the rule logic
-from .prover import ProverStats
+from .prover import ProverStats, _require
 from .semantics import Structure
 
 __all__ = ["check_g", "gprove", "GProveResult"]
@@ -161,7 +159,7 @@ def _gprove(s: Sequent, fresh: _FreshNames, depth: int, tracker: dict) -> Union[
                     p = proofs.ex_l(p, q.var, q.body, eigen)
                     return proofs.move(p, "ante", 0, idx)
 
-        assert _measure(prem) < before, "quantifier step must shrink the measure"
+        _require(_measure(prem) < before, "quantifier step must shrink the measure")
         sub = _gprove(prem, fresh, depth + 1, tracker)
         if not isinstance(sub, Proof):
             return sub
@@ -173,9 +171,8 @@ def _gprove(s: Sequent, fresh: _FreshNames, depth: int, tracker: dict) -> Union[
         return UNKNOWN
     side, idx = target
     prems, rebuild_many = prover.connective_step(s, side, idx)
-    if __debug__:
-        for prem in prems:
-            assert _measure(prem) < before, "connective step must shrink the measure"
+    for prem in prems:
+        _require(_measure(prem) < before, "connective step must shrink the measure")
     subs = []
     for prem in prems:
         sub = _gprove(prem, fresh, depth + 1, tracker)
@@ -183,19 +180,6 @@ def _gprove(s: Sequent, fresh: _FreshNames, depth: int, tracker: dict) -> Union[
             return sub
         subs.append(sub)
     return rebuild_many(subs)
-
-
-def _generalized_cost(s: Sequent) -> int:
-    """Connectives, non-constant R arguments and quantifier nodes; agrees
-    with the propositional cost on quantifier-free sequents."""
-    total = 0
-    for f in s.formulas:
-        for g in walk(f):
-            if isinstance(g, (Not, And, Or, Forall, Exists)):
-                total += 1
-            elif isinstance(g, RApp):
-                total += sum(1 for a in g.args if not isinstance(a, Const))
-    return total
 
 
 def gprove(s: Sequent) -> GProveResult:
@@ -212,11 +196,13 @@ def gprove(s: Sequent) -> GProveResult:
         )
     if isinstance(outcome, Structure):
         return GProveResult(NOT_VALID, counterexample=outcome)
-    assert outcome.conclusion == s
+    _require(outcome.conclusion == s, "proof concludes a different sequent")
     stats = ProverStats(
         counted_sequents=proofs.counted_size(outcome),
         max_line=proofs.max_line_length(outcome),
-        cost_at_root=_generalized_cost(s),
+        # each node's cost also counts quantifier nodes, so this agrees
+        # with cost_sequent on quantifier-free sequents
+        cost_at_root=sum(f.cost for f in s.formulas),
         recursion_depth=tracker["depth"],
     )
     return GProveResult(PROVED, proof=outcome, stats=stats)

@@ -16,7 +16,7 @@ excludes weakenings and exchanges (contractions do count).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
 from .formulas import (
@@ -32,7 +32,6 @@ from .formulas import (
     Sequent,
     CaptureError,
     free_atoms,
-    is_quantifier_free,
     substitute,
 )
 from . import syntax
@@ -62,12 +61,28 @@ _PREMISE_COUNT = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proof:
+    """A proof node.  `counted` (counted lines of the tree, see
+    counted_size) and `max_line` (its longest conclusion, in symbols)
+    are computed once from the premises' values when the node is made."""
+
     conclusion: Sequent
     rule: str
     params: tuple[tuple[str, Any], ...]
     premises: tuple["Proof", ...]
+    counted: int = field(init=False, compare=False, repr=False)
+    max_line: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        counted = 0 if self.rule in UNCOUNTED_TAGS else 1
+        max_line = syntax.sequent_length(self.conclusion)
+        for p in self.premises:
+            counted += p.counted
+            if p.max_line > max_line:
+                max_line = p.max_line
+        object.__setattr__(self, "counted", counted)
+        object.__setattr__(self, "max_line", max_line)
 
     def param(self, key: str, default: Any = None) -> Any:
         for k, v in self.params:
@@ -106,11 +121,11 @@ def nodes(p: Proof) -> Iterator[tuple[tuple[int, ...], Proof]]:
 
 
 def counted_size(p: Proof) -> int:
-    return sum(1 for _, node in nodes(p) if node.rule not in UNCOUNTED_TAGS)
+    return p.counted
 
 
 def max_line_length(p: Proof) -> int:
-    return max(syntax.sequent_length(node.conclusion) for _, node in nodes(p))
+    return p.max_line
 
 
 def _remove_at(xs: tuple, i: int) -> tuple:
@@ -154,7 +169,7 @@ def _validate(node: Proof, allow_quantifiers: bool) -> Optional[str]:
         return "quantifier rule is not part of the propositional calculus"
     if not allow_quantifiers:
         for f in node.conclusion.formulas:
-            if not is_quantifier_free(f):
+            if not f.quantifier_free:
                 return "quantified formula in a propositional proof"
     expected = _PREMISE_COUNT[tag]
     if len(node.premises) != expected:
@@ -520,12 +535,6 @@ def ex_l(p: Proof, var: str, body: Formula, eigen: str) -> Proof:
         (p,),
         eigen=eigen,
     )
-
-
-def weak_l_many(p: Proof, formulas, positions) -> Proof:
-    for f, pos in zip(formulas, positions):
-        p = weak_l(p, f, pos)
-    return p
 
 
 def pad(p: Proof, side: str, target: tuple[Formula, ...], keep: list[int]) -> Proof:

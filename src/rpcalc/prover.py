@@ -70,6 +70,16 @@ class NotDecomposableError(ValueError):
     pass
 
 
+class ProverInvariantError(RuntimeError):
+    """A prover step broke an invariant that the proof's correctness or
+    its size bounds rest on.  Checked under `python -O` too."""
+
+
+def _require(holds: bool, message: str) -> None:
+    if not holds:
+        raise ProverInvariantError(message)
+
+
 def _top_connective(f: Formula) -> bool:
     return isinstance(f, (Not, And, Or))
 
@@ -200,8 +210,10 @@ def oracle_step(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Rebuild
         prem_a = proofs.pad(e1, "ante", (a, r_a) + gamma, [0, 1])
         prem_a = proofs.pad(prem_a, "succ", delta + (r_one,), [len(delta)])
         prem_b = proofs.weak_l(proofs.exch_l(rec1, 0), r_a, 2)
-        prem_b_target = (r_one, a, r_a) + gamma
-        assert prem_b.conclusion.antecedent == prem_b_target
+        _require(
+            prem_b.conclusion.antecedent == (r_one, a, r_a) + gamma,
+            "E1 cut premise does not start R(..1..), A, R(..A..)",
+        )
         left = proofs.cut(prem_a, prem_b)  # A, RA, Gamma |- Delta
         # Right: cut the 0-instance against E3.
         prem_a = proofs.pad(e3, "ante", (r_a,) + gamma, [0])
@@ -263,7 +275,10 @@ def _base_proof(s: Sequent) -> Union[Proof, Structure]:
         p = proofs.pad(p, "ante", s.antecedent, [s.antecedent.index(f)])
         return proofs.pad(p, "succ", s.succedent, [s.succedent.index(f)])
     witness = _base_counterexample(s)
-    assert eval_formula(validity_formula(s), witness) == 0
+    _require(
+        eval_formula(validity_formula(s), witness) == 0,
+        "base-case countermodel does not falsify the sequent",
+    )
     return witness
 
 
@@ -273,13 +288,13 @@ def _prove(s: Sequent, depth: int, tracker: dict) -> Union[Proof, Structure]:
     if c == 0:
         return _base_proof(s)
     target = choose_target(s)
-    assert target is not None, "positive cost implies a decomposable formula"
+    _require(target is not None, "positive cost implies a decomposable formula")
     side, idx = target
     prems, rebuild = decompose(s, side, idx)
     cedent = s.succedent if side == "succ" else s.antecedent
     if isinstance(cedent[idx], RApp):
         drops = [c - cost_sequent(p) for p in prems]
-        assert drops == [1, 1], f"oracle step must drop cost by exactly 1, got {drops}"
+        _require(drops == [1, 1], f"oracle step must drop cost by exactly 1, got {drops}")
         tracker["r_steps"] += 1
     subproofs = []
     for prem in prems:
@@ -299,16 +314,24 @@ def prove(s: Sequent) -> ProveResult:
     tracker = {"depth": 0, "r_steps": 0}
     outcome = _prove(s, 0, tracker)
     if isinstance(outcome, Structure):
-        assert eval_formula(validity_formula(s), outcome) == 0
+        _require(
+            eval_formula(validity_formula(s), outcome) == 0,
+            "countermodel does not falsify the sequent",
+        )
         return ProveResult(None, None, outcome)
-    assert outcome.conclusion == s
+    _require(outcome.conclusion == s, "proof concludes a different sequent")
     stats = ProverStats(
         counted_sequents=proofs.counted_size(outcome),
         max_line=proofs.max_line_length(outcome),
         cost_at_root=cost_sequent(s),
         recursion_depth=tracker["depth"],
     )
-    if __debug__:
-        assert stats.counted_sequents <= D_LINES * (1 << stats.cost_at_root)
-        assert stats.max_line <= E_LINE_FACTOR * syntax.sequent_length(s)
+    _require(
+        stats.counted_sequents <= D_LINES * (1 << stats.cost_at_root),
+        "proof exceeds d * 2^cost counted lines",
+    )
+    _require(
+        stats.max_line <= E_LINE_FACTOR * syntax.sequent_length(s),
+        "proof line exceeds e * |S| symbols",
+    )
     return ProveResult(outcome, stats, None)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .formulas import (
     And,
@@ -45,6 +45,7 @@ from .formulas import (
     fold_assign,
     free_atoms,
     is_quantifier_free,
+    key_set,
     or_all,
     substitute_all,
     walk,
@@ -295,27 +296,8 @@ def pull_universals(f: Formula) -> tuple[tuple[str, ...], Formula]:
 
 
 def _keys(f: Formula) -> tuple[str, ...]:
-    """The sorted keys of a quantifier-free formula: "a" + name for each
-    atom and "s" + string for each constant-argument R application.
-    They sort like ("a", name) and ("s", string) pairs."""
-    out = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        kind = type(g)
-        if kind is Atom:
-            out.add("a" + g.name)
-        elif kind is Not:
-            stack.append(g.child)
-        elif kind is And or kind is Or:
-            stack.append(g.left)
-            stack.append(g.right)
-        elif kind is RApp:
-            if all(type(a) is Const for a in g.args):
-                out.add("s" + "".join(str(a.bit) for a in g.args))
-            else:
-                stack.extend(g.args)
-    return tuple(sorted(out))
+    """The sorted keys of a quantifier-free formula (see key_set)."""
+    return tuple(sorted(key_set(f)))
 
 
 class _Budget(Exception):
@@ -341,7 +323,11 @@ def _guard_of(g: Formula) -> tuple[list[Formula], list[str]]:
 
 
 def _force(
-    guard: list[Formula], bare: list[str], universals: frozenset[str], env: dict[str, int]
+    guard: list[Formula],
+    bare: list[str],
+    universals: frozenset[str],
+    env: dict[str, int],
+    strings: Optional[Mapping[str, int]],
 ) -> Optional[tuple[dict[str, int], list[Formula]]]:
     """Extend env by every universal value whose other value makes the
     instance 1: a bare atom disjunct x forces x = 0, and a literal among
@@ -361,7 +347,7 @@ def _force(
         kept: list[Formula] = []
         for c in guard:
             if pending:
-                c = fold_assign(c, pending)
+                c = fold_assign(c, pending, strings)
                 if isinstance(c, Const):
                     if c.bit == 0:
                         return None
@@ -394,7 +380,13 @@ def _defined(guard: list[Formula]) -> set[str]:
     return {name for name, _ in halves & converse}
 
 
-def _expand(conjunct: Formula, support: list[str], limits: SolverLimits, counters: dict) -> list[Formula]:
+def _expand(
+    conjunct: Formula,
+    support: list[str],
+    limits: SolverLimits,
+    counters: dict,
+    strings: Optional[Mapping[str, int]] = None,
+) -> list[Formula]:
     """The distinct ground instances of `conjunct` over its universal
     support that do not fold to 1, each once, in first-found order.
 
@@ -408,7 +400,9 @@ def _expand(conjunct: Formula, support: list[str], limits: SolverLimits, counter
     branches on the first universal in support order that no guard
     biconditional x <=> e defines, so circuit inputs are branched on and
     gate and output variables are forced as their definitions become
-    ground.  Every folded instance counts against max_structures."""
+    ground.  Every folded instance counts against max_structures.  Each
+    fold resolves the R applications that `strings` answers (see
+    fold_assign); sat_pi1 passes none."""
     out: dict[Formula, None] = {}
     universals = frozenset(support)
 
@@ -416,7 +410,7 @@ def _expand(conjunct: Formula, support: list[str], limits: SolverLimits, counter
         counters["folds"] += 1
         if counters["folds"] > limits.max_structures:
             raise _Budget("expansion exceeded max_structures")
-        return fold_assign(g, env)
+        return fold_assign(g, env, strings)
 
     def leaf(g: Formula) -> None:
         counters["leaves"] += 1
@@ -424,7 +418,7 @@ def _expand(conjunct: Formula, support: list[str], limits: SolverLimits, counter
         out.setdefault(g)
         if len(out) == known:
             return
-        counters["strings"].update(k for k in _keys(g) if k[0] == "s")
+        counters["strings"].update(k for k in key_set(g) if k[0] == "s")
         if len(counters["strings"]) > limits.max_oracle_strings:
             raise _Budget("expansion exceeded max_oracle_strings")
 
@@ -434,13 +428,13 @@ def _expand(conjunct: Formula, support: list[str], limits: SolverLimits, counter
                 out.setdefault(FALSE)
             return
         if remaining:
-            present_names = atom_names_fast(g)
-            remaining = [v for v in remaining if v in present_names]
+            present = key_set(g)
+            remaining = [v for v in remaining if "a" + v in present]
         if not remaining:
             leaf(g)
             return
         guard, bare = _guard_of(g)
-        settled = _force(guard, bare, universals, {})
+        settled = _force(guard, bare, universals, {}, strings)
         if settled is None:
             return
         forced, guard = settled
@@ -452,7 +446,7 @@ def _expand(conjunct: Formula, support: list[str], limits: SolverLimits, counter
         var = next((v for v in remaining if v not in defined), remaining[0])
         counters["branches"] += 1
         for bit in (0, 1):
-            settled = _force(guard, bare, universals, {var: bit})
+            settled = _force(guard, bare, universals, {var: bit}, strings)
             if settled is None:
                 continue
             env = settled[0]
@@ -472,8 +466,8 @@ def _as_literal(g: Formula) -> Optional[tuple[str, int]]:
         g = g.child
     if type(g) is Atom:
         return "a" + g.name, positive
-    if type(g) is RApp and all(type(a) is Const for a in g.args):
-        return "s" + "".join(str(a.bit) for a in g.args), positive
+    if type(g) is RApp and g.cost == 0:  # every argument a constant
+        return "s" + "".join([str(a.bit) for a in g.args]), positive
     return None
 
 
@@ -652,21 +646,35 @@ def sat_pi1(f: Formula, limits: SolverLimits = DEFAULT_LIMITS) -> Pi1Result:
     return Pi1Result(SAT, witness=witness, stats=stats())
 
 
+class _Answers:
+    """A string table that answers every string from a fixed oracle, so
+    that an expansion folding with it resolves each R application as
+    soon as its arguments are constant."""
+
+    def __init__(self, oracle: frozenset[str]):
+        self.oracle = oracle
+
+    def get(self, s: str) -> int:
+        return 1 if s in self.oracle else 0
+
+
 def holds_universally(
     f: Formula, structure: Structure, limits: SolverLimits = DEFAULT_LIMITS
 ) -> bool:
     """Exact check that a closed universally quantified formula holds in
-    the given structure, via the pruning expansion (no sampling)."""
+    the given structure, via the pruning expansion (no sampling).  The
+    expansion folds with the structure's oracle, so an instance
+    collapses as soon as its R arguments are constant."""
     if free_atoms(f):
         raise ValueError("holds_universally expects a closed formula")
     uvars, matrix = pull_universals(f)
     counters = _expansion_counters()
-    oracle = structure.oracle
+    answers = _Answers(structure.oracle)
     for conjunct in flatten_and(matrix):
         conjunct_free = free_atoms(conjunct)
         support = [v for v in uvars if v in conjunct_free]
-        for constraint in _expand(conjunct, support, limits, counters):
-            if _eval(constraint, {}, lambda s: 1 if s in oracle else 0) == 0:
+        for constraint in _expand(conjunct, support, limits, counters, answers):
+            if _eval(constraint, {}, answers.get) == 0:
                 return False
     return True
 

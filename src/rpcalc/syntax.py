@@ -39,6 +39,7 @@ from .formulas import (
     Or,
     RApp,
     Sequent,
+    _fill,
     iff,
     implies,
 )
@@ -375,11 +376,48 @@ def format_entry(e: Union[Formula, Sequent]) -> str:
     return format_sequent(e) if isinstance(e, Sequent) else format_formula(e)
 
 
+def _length_at(g: Formula, level: int) -> int:
+    """Tokens of g printed where `level` binds: _emit's parentheses
+    around a connective looser than the level, or a quantifier under
+    anything, add two."""
+    kind = type(g)
+    if kind is And:
+        wrap = level > _LVL_AND
+    elif kind is Or:
+        wrap = level > _LVL_OR
+    else:
+        wrap = level > 0 and (kind is Forall or kind is Exists)
+    return g._length + 2 if wrap else g._length
+
+
+def _token_count(g: Formula) -> int:
+    """Tokens of g printed at level 0, from its children's counts."""
+    kind = type(g)
+    if kind is Atom or kind is Const:
+        return 1
+    if kind is Not:
+        return 1 + _length_at(g.child, _LVL_UNARY)
+    if kind is And:
+        return _length_at(g.left, _LVL_AND) + 1 + _length_at(g.right, _LVL_UNARY)
+    if kind is Or:
+        return _length_at(g.left, _LVL_OR) + 1 + _length_at(g.right, _LVL_AND)
+    if kind is RApp:  # R ( args separated by commas )
+        return 3 + sum([a._length for a in g.args]) + max(len(g.args) - 1, 0)
+    return 3 + g.body._length  # all x . body
+
+
 def length(f: Formula) -> int:
-    """Total symbol occurrences in the canonical rendering of f."""
-    return len(formula_tokens(f))
+    """Total symbol occurrences in the canonical rendering of f; counted
+    once per node and kept on it."""
+    return _fill(f, "_length", _token_count)
 
 
 def sequent_length(s: Sequent) -> int:
     """Symbol occurrences of the rendered sequent, punctuation included."""
-    return len(sequent_tokens(s))
+    ante, succ = s.antecedent, s.succedent
+    total = 1 + max(len(ante) - 1, 0) + max(len(succ) - 1, 0)
+    for f in ante:
+        total += f._length or length(f)
+    for f in succ:
+        total += f._length or length(f)
+    return total

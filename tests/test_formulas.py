@@ -1,26 +1,47 @@
+import copy
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from genlib import random_ast, random_flat_formula
+from rpcalc import formulas, semantics
 from rpcalc.formulas import (
+    And,
     Atom,
     CaptureError,
     Const,
+    Exists,
     Forall,
+    Not,
+    Or,
     QuantifiedCostError,
     RApp,
     Sequent,
+    and_all,
     classify,
     cost,
     cost_sequent,
     free_atoms,
     is_quantifier_free,
+    key_set,
+    node_count,
+    quantifier_depth,
     substitute,
+    walk,
 )
-from rpcalc.syntax import length, parse_formula, parse_sequent
+from rpcalc.syntax import (
+    format_formula,
+    formula_tokens,
+    length,
+    parse_formula,
+    parse_sequent,
+    sequent_length,
+    sequent_tokens,
+)
 
 
 def test_cost_worked_example():
@@ -136,3 +157,154 @@ def test_atom_name_validation():
         Atom("Pascal")
     with pytest.raises(ValueError):
         Const(2)
+
+
+# Formulas drawn as plain nested tuples, so that a test can build the
+# same formula more than once, or after the first copy has died.
+NAMES = st.sampled_from(["p", "q", "x", "y"])
+SPECS = st.recursive(
+    st.one_of(
+        st.tuples(st.just("atom"), NAMES),
+        st.tuples(st.just("const"), st.sampled_from([0, 1])),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(st.just("not"), inner),
+        st.tuples(st.sampled_from(["and", "or"]), inner, inner),
+        st.tuples(st.just("rapp"), st.lists(inner, max_size=3).map(tuple)),
+        st.tuples(st.sampled_from(["all", "ex"]), NAMES, inner),
+    ),
+    max_leaves=12,
+)
+
+
+def build(spec):
+    tag = spec[0]
+    if tag == "atom":
+        return Atom(spec[1])
+    if tag == "const":
+        return Const(spec[1])
+    if tag == "not":
+        return Not(build(spec[1]))
+    if tag in ("and", "or"):
+        return (And if tag == "and" else Or)(build(spec[1]), build(spec[2]))
+    if tag == "rapp":
+        return RApp(tuple(build(a) for a in spec[1]))
+    return (Forall if tag == "all" else Exists)(spec[1], build(spec[2]))
+
+
+def reference_cost(f):
+    """Connectives, quantifier nodes and non-constant R arguments, by a
+    walk over every occurrence."""
+    total = 0
+    for g in walk(f):
+        if isinstance(g, (Not, And, Or, Forall, Exists)):
+            total += 1
+        elif isinstance(g, RApp):
+            total += sum(1 for a in g.args if not isinstance(a, Const))
+    return total
+
+
+def reference_depth(f):
+    if isinstance(f, (Forall, Exists)):
+        return 1 + reference_depth(f.body)
+    if isinstance(f, Not):
+        return reference_depth(f.child)
+    if isinstance(f, (And, Or)):
+        return max(reference_depth(f.left), reference_depth(f.right))
+    if isinstance(f, RApp):
+        return max((reference_depth(a) for a in f.args), default=0)
+    return 0
+
+
+def reference_keys(f):
+    """Atoms and constant-argument R strings, quantified subformulas
+    skipped, by walking the whole tree."""
+    out, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Atom):
+            out.add("a" + g.name)
+        elif isinstance(g, Not):
+            stack.append(g.child)
+        elif isinstance(g, (And, Or)):
+            stack += [g.left, g.right]
+        elif isinstance(g, RApp):
+            if all(isinstance(a, Const) for a in g.args):
+                out.add("s" + "".join(str(a.bit) for a in g.args))
+            else:
+                stack += g.args
+    return out
+
+
+@given(SPECS)
+def test_cached_measures_match_reference_walks(spec):
+    f = build(spec)
+    quantifier_free = not any(isinstance(g, (Forall, Exists)) for g in walk(f))
+    assert is_quantifier_free(f) is quantifier_free
+    assert f.cost == reference_cost(f)
+    if quantifier_free:
+        assert cost(f) == reference_cost(f)
+    assert node_count(f) == sum(1 for _ in walk(f))
+    assert quantifier_depth(f) == reference_depth(f)
+    assert length(f) == len(formula_tokens(f))
+    assert set(key_set(f)) == reference_keys(f)
+    assert semantics._keys(f) == tuple(sorted(reference_keys(f)))
+
+
+@given(st.lists(SPECS, max_size=3), st.lists(SPECS, max_size=3))
+def test_sequent_length_matches_printed_tokens(ante, succ):
+    s = Sequent(tuple(map(build, ante)), tuple(map(build, succ)))
+    assert sequent_length(s) == len(sequent_tokens(s))
+
+
+@given(st.integers(1, 200))
+def test_key_sets_on_both_sides_of_the_cache_limit(n):
+    # n clauses with an atom and an oracle string each: 2n keys, and
+    # prefixes of the chain on both sides of the cached-set limit
+    f = and_all(
+        Or(Atom(f"k{i}"), Not(RApp(tuple(Const(int(b)) for b in format(i, "b")))))
+        for i in range(n)
+    )
+    assert set(key_set(f)) == reference_keys(f)
+    assert set(key_set(f.left if n > 1 else f)) == reference_keys(f.left if n > 1 else f)
+    cached = [g._keys for g in walk(f) if g._keys]
+    assert max(map(len, cached)) <= formulas._CACHED_KEYS
+
+
+@given(SPECS)
+def test_equal_formulas_are_one_node(spec):
+    f, g = build(spec), build(spec)
+    assert f is g
+    assert parse_formula(format_formula(f)) is f
+
+
+@given(SPECS)
+def test_copies_return_the_interned_node(spec):
+    f = build(spec)
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    data = pickle.dumps(f)
+    assert pickle.loads(data) is f
+    del f
+    g = pickle.loads(data)
+    assert g is build(spec)
+
+
+@given(SPECS)
+def test_unique_table_drops_dead_nodes(spec):
+    before = len(formulas._TABLE)
+    f = And(build(spec), Atom("fresh_only_here"))
+    assert len(formulas._TABLE) > before
+    ref = weakref.ref(f)
+    del f
+    assert ref() is None
+    assert len(formulas._TABLE) == before
+
+
+def test_nodes_are_immutable():
+    f = parse_formula("p & q")
+    with pytest.raises(AttributeError):
+        f.left = Atom("r")
+    with pytest.raises(AttributeError):
+        del f.right
+    assert f == And(Atom("p"), Atom("q"))

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from genlib import random_flat_formula
+from genlib import random_flat_formula, random_r_free
 from rpcalc import proofs
-from rpcalc.formulas import Atom, Const, RApp, Sequent
+from rpcalc.formulas import Atom, Const, Or, RApp, Sequent
 from rpcalc.proofs import (
     Proof,
     ax_false,
@@ -26,7 +29,7 @@ from rpcalc.proofs import (
 )
 from rpcalc.prover import prove
 from rpcalc.semantics import sequent_valid
-from rpcalc.syntax import parse_formula, parse_sequent, sequent_length
+from rpcalc.syntax import parse_formula, parse_sequent, sequent_length, sequent_tokens
 
 
 def test_axioms_check():
@@ -88,6 +91,29 @@ def test_counted_size_excludes_weakening_and_exchange():
 def test_max_line_length():
     p = weak_r(ax_true(), parse_formula("R(p, q)"), 0)
     assert max_line_length(p) == sequent_length(p.conclusion)
+
+
+def walked_measures(p):
+    """Counted lines and the longest printed conclusion, by walking
+    every node of the tree."""
+    walked = [node for _, node in proofs.nodes(p)]
+    counted = sum(1 for node in walked if node.rule not in proofs.UNCOUNTED_TAGS)
+    return counted, max(len(sequent_tokens(node.conclusion)) for node in walked)
+
+
+@given(st.integers(0, 10_000))
+def test_proof_measures_match_node_walks(seed):
+    rng = random.Random(seed)
+    a, b = random_r_free(rng, 1), random_r_free(rng, 1)
+    r = RApp((a, Const(1)))
+    # valid by construction, of cost at most 7; the R steps bring in
+    # the substitution schemes, padding brings in weakenings
+    proof = prove(Sequent((r, b), (Or(b, r),))).proof
+    walked = [node for _, node in proofs.nodes(proof)]
+    for node in walked[:: max(1, len(walked) // 5)]:  # the root and a few subtrees
+        assert (counted_size(node), max_line_length(node)) == walked_measures(node)
+    broken = dataclasses.replace(proof, premises=proof.premises[:-1])
+    assert (broken.counted, broken.max_line) == walked_measures(broken)
 
 
 def test_scheme_conclusions_and_sizes():

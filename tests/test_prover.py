@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -128,3 +132,36 @@ def test_invalid_random_sequents_give_checking_witnesses():
 def test_prover_rejects_quantifiers():
     with pytest.raises(ValueError):
         prove(parse_sequent("|- all x. x"))
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+BROKEN_STEP = """
+from rpcalc import gprover, proofs, prover
+from rpcalc.syntax import parse_sequent
+assert False  # removed under -O: reaching the next line shows asserts are off
+proofs.move = lambda p, side, src, dst: p  # exchanges forgotten
+try:
+    {call}(parse_sequent({text!r}))
+except prover.ProverInvariantError as exc:
+    print("ProverInvariantError:", exc)
+"""
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [("prover.prove", "p, q |- q & p, r"), ("gprover.gprove", "|- (all x. x | ~x), r")],
+)
+def test_broken_step_raises_under_optimize(call, text):
+    # a step that leaves the principal formula out of place; with -O the
+    # builders check nothing, so the prover's own checks must catch it
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_STEP.format(call=call, text=text)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ProverInvariantError: proof concludes a different sequent\n"
