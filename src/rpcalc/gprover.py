@@ -32,10 +32,9 @@ from .formulas import (
     is_quantifier_free,
     node_count,
     quantifier_depth,
-    substitute,
 )
 from .proofs import Proof, check_g  # re-exported: check_g lives with the rule logic
-from .prover import ProverStats, _require
+from .prover import ProverStats, _require, _require_checked
 from .semantics import Structure
 
 __all__ = ["check_g", "gprove", "GProveResult"]
@@ -112,52 +111,29 @@ def _gprove(s: Sequent, fresh: _FreshNames, depth: int, tracker: dict) -> Union[
         side, idx = target
         cedent = s.succedent if side == "succ" else s.antecedent
         q = cedent[idx]
-        if side == "succ":
-            delta = s.succedent[:idx] + s.succedent[idx + 1 :]
-            if isinstance(q, Exists):
-                # Gamma |- Delta, A(0), A(1), rebuilt with two ExR and one ContrR.
-                a0 = substitute(q.body, q.var, Const(0))
-                a1 = substitute(q.body, q.var, Const(1))
-                prem = Sequent(s.antecedent, delta + (a0, a1))
+        tag = proofs.rule_for(side, type(q))
+        edge = 0 if side == "ante" else len(cedent) - 1
+        if proofs.RULES[tag].shape == "instance":
+            # Both constant instances, A(0), A(1) at the principal end,
+            # rebuilt with two instantiations (the one at the end first),
+            # an exchange and a contraction.
+            (prem,) = proofs.backward(tag, s, idx, (Const(0), Const(1)))
+            first, second = (Const(0), Const(1)) if side == "ante" else (Const(1), Const(0))
 
-                def rebuild(p: Proof) -> Proof:
-                    p = proofs.ex_r(p, q.var, q.body, Const(1))
-                    p = proofs.exch_r(p, len(delta))
-                    p = proofs.ex_r(p, q.var, q.body, Const(0))
-                    p = proofs.contr_r(p, len(delta))
-                    return proofs.move(p, "succ", len(delta), idx)
-
-            else:
-                eigen = fresh.next()
-                body_inst = substitute(q.body, q.var, Atom(eigen))
-                prem = Sequent(s.antecedent, delta + (body_inst,))
-
-                def rebuild(p: Proof) -> Proof:
-                    p = proofs.all_r(p, q.var, q.body, eigen)
-                    return proofs.move(p, "succ", len(delta), idx)
+            def rebuild(p: Proof) -> Proof:
+                p = proofs.introduce(tag, (p,), (q.var, q.body), var=q.var, instance=first)
+                p = proofs.restructure(proofs.rule_for(side, "swap"), p, edge)
+                p = proofs.introduce(tag, (p,), (q.var, q.body), var=q.var, instance=second)
+                p = proofs.restructure(proofs.rule_for(side, "duplicate"), p, edge)
+                return proofs.move(p, side, edge, idx)
 
         else:
-            gamma = s.antecedent[:idx] + s.antecedent[idx + 1 :]
-            if isinstance(q, Forall):
-                a0 = substitute(q.body, q.var, Const(0))
-                a1 = substitute(q.body, q.var, Const(1))
-                prem = Sequent((a0, a1) + gamma, s.succedent)
+            eigen = fresh.next()
+            (prem,) = proofs.backward(tag, s, idx, (Atom(eigen),))
 
-                def rebuild(p: Proof) -> Proof:
-                    p = proofs.all_l(p, q.var, q.body, Const(0))
-                    p = proofs.exch_l(p, 0)
-                    p = proofs.all_l(p, q.var, q.body, Const(1))
-                    p = proofs.contr_l(p, 0)
-                    return proofs.move(p, "ante", 0, idx)
-
-            else:
-                eigen = fresh.next()
-                body_inst = substitute(q.body, q.var, Atom(eigen))
-                prem = Sequent((body_inst,) + gamma, s.succedent)
-
-                def rebuild(p: Proof) -> Proof:
-                    p = proofs.ex_l(p, q.var, q.body, eigen)
-                    return proofs.move(p, "ante", 0, idx)
+            def rebuild(p: Proof) -> Proof:
+                p = proofs.introduce(tag, (p,), (q.var, q.body), eigen=eigen)
+                return proofs.move(p, side, edge, idx)
 
         _require(_measure(prem) < before, "quantifier step must shrink the measure")
         sub = _gprove(prem, fresh, depth + 1, tracker)
@@ -197,6 +173,7 @@ def gprove(s: Sequent) -> GProveResult:
     if isinstance(outcome, Structure):
         return GProveResult(NOT_VALID, counterexample=outcome)
     _require(outcome.conclusion == s, "proof concludes a different sequent")
+    _require_checked(check_g(outcome))
     stats = ProverStats(
         counted_sequents=proofs.counted_size(outcome),
         max_line=proofs.max_line_length(outcome),

@@ -1,4 +1,5 @@
-"""Sequent-calculus proof objects, the strict checker, and size measures.
+"""Sequent-calculus proof objects, the rule table, the strict checker,
+and size measures.
 
 Rules follow the classical formulation with principal formulas at cedent
 edges: the left-rule principal is the first antecedent formula, the
@@ -9,8 +10,12 @@ axioms there is the oracle substitution axiom
     AxRSubst:   ~A | B, A | ~B, R(C..., A, D...) |- R(C..., B, D...)
 
 which lets provably equivalent formulas be interchanged as arguments of
-R.  Proofs are trees; every node is locally checkable.  counted_size
-excludes weakenings and exchanges (contractions do count).
+R.  Every rule is one row of RULES; the checker, the builders and the
+provers' backward steps all read that row, so a rule is stated once for
+both sides.  Builders do not check what they make: the provers run
+check_pk or check_g once over each finished proof, which holds under
+`python -O` too.  Proofs are trees; every node is locally checkable.
+counted_size excludes weakenings and exchanges (contractions do count).
 """
 
 from __future__ import annotations
@@ -36,29 +41,75 @@ from .formulas import (
 )
 from . import syntax
 
-AXIOM_TAGS = ("AxId", "AxTrue", "AxFalse", "AxRSubst")
-STRUCTURAL_TAGS = ("WeakL", "WeakR", "ExchL", "ExchR", "ContrL", "ContrR")
-LOGICAL_TAGS = ("NotL", "NotR", "AndL", "AndR", "OrL", "OrR", "Cut")
-QUANTIFIER_TAGS = ("AllL", "AllR", "ExL", "ExR")
-RULE_TAGS = AXIOM_TAGS + STRUCTURAL_TAGS + LOGICAL_TAGS + QUANTIFIER_TAGS
 
-UNCOUNTED_TAGS = frozenset({"WeakL", "WeakR", "ExchL", "ExchR"})
+@dataclass(frozen=True, slots=True)
+class Rule:
+    """One row of the rule table.
 
-_PREMISE_COUNT = {
-    **{tag: 0 for tag in AXIOM_TAGS},
-    **{tag: 1 for tag in STRUCTURAL_TAGS},
-    "NotL": 1,
-    "NotR": 1,
-    "AndL": 1,
-    "AndR": 2,
-    "OrL": 2,
-    "OrR": 1,
-    "Cut": 2,
-    "AllL": 1,
-    "AllR": 1,
-    "ExL": 1,
-    "ExR": 1,
+    `side` is the cedent the rule acts on: "ante", whose principal
+    formula is the first, or "succ", whose principal formula is the
+    last; axioms and Cut have none.  `principal` is the connective or
+    binder of the principal formula.  `shape` says how the premises
+    arise from the conclusion:
+
+    - "insert", "swap", "duplicate": the conclusion's cedent with the
+      formula at `pos` dropped, the pair at `pos` swapped, or the formula
+      at `pos` duplicated (weakening, exchange, contraction);
+    - "other": the principal's child moves to the other cedent's end;
+    - "both": both children replace the principal, in order;
+    - "split": one child per premise replaces the principal;
+    - "instance": the body at a stated term replaces the principal;
+    - "eigen": the body at a fresh eigenvariable replaces the principal;
+    - "identity", "truth", "falsity", "rsubst", "cut": the axioms and Cut.
+
+    `message` is the failure reported when the premises do not have
+    that shape."""
+
+    tag: str
+    side: Optional[str]
+    arity: int
+    principal: Optional[type]
+    shape: str
+    message: str
+    counted: bool = True
+
+
+RULES = {
+    rule.tag: rule
+    for rule in (
+        Rule("AxId", None, 0, None, "identity", "conclusion is not of the form A |- A"),
+        Rule("AxTrue", None, 0, None, "truth", "conclusion is not |- 1"),
+        Rule("AxFalse", None, 0, None, "falsity", "conclusion is not 0 |-"),
+        Rule("AxRSubst", None, 0, None, "rsubst", ""),  # reports _match_rsubst's messages
+        Rule("WeakL", "ante", 1, None, "insert", "conclusion is not the premise with one formula inserted at pos", False),
+        Rule("WeakR", "succ", 1, None, "insert", "conclusion is not the premise with one formula inserted at pos", False),
+        Rule("ExchL", "ante", 1, None, "swap", "conclusion is not the premise with adjacent formulas swapped at pos", False),
+        Rule("ExchR", "succ", 1, None, "swap", "conclusion is not the premise with adjacent formulas swapped at pos", False),
+        Rule("ContrL", "ante", 1, None, "duplicate", "premise is not the conclusion with the pos formula duplicated"),
+        Rule("ContrR", "succ", 1, None, "duplicate", "premise is not the conclusion with the pos formula duplicated"),
+        Rule("NotL", "ante", 1, Not, "other", "premise is not Gamma |- Delta, A for conclusion ~A, Gamma |- Delta"),
+        Rule("NotR", "succ", 1, Not, "other", "premise is not A, Gamma |- Delta for conclusion Gamma |- Delta, ~A"),
+        Rule("AndL", "ante", 1, And, "both", "premise is not A, B, Gamma |- Delta"),
+        Rule("AndR", "succ", 2, And, "split", "premises are not Gamma |- Delta, A and Gamma |- Delta, B"),
+        Rule("OrL", "ante", 2, Or, "split", "premises are not A, Gamma |- Delta and B, Gamma |- Delta"),
+        Rule("OrR", "succ", 1, Or, "both", "premise is not Gamma |- Delta, A, B"),
+        Rule("Cut", None, 2, None, "cut", "contexts do not match Gamma |- Delta, A with A, Gamma |- Delta"),
+        Rule("AllL", "ante", 1, Forall, "instance", "premise principal formula is not the stated instance of the body"),
+        Rule("AllR", "succ", 1, Forall, "eigen", "premise principal formula is not the body at the eigenvariable"),
+        Rule("ExL", "ante", 1, Exists, "eigen", "premise principal formula is not the body at the eigenvariable"),
+        Rule("ExR", "succ", 1, Exists, "instance", "premise principal formula is not the stated instance of the body"),
+    )
 }
+
+RULE_TAGS = tuple(RULES)
+UNCOUNTED_TAGS = frozenset(tag for tag, rule in RULES.items() if not rule.counted)
+_BY_SIDE = {(rule.side, rule.principal or rule.shape): tag for tag, rule in RULES.items()}
+
+
+def rule_for(side: str, key: Any) -> str:
+    """The tag of the rule acting on `side` whose principal is of class
+    `key`, or, for a structural rule, whose shape is `key`."""
+    return _BY_SIDE[side, key]
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,11 +143,7 @@ class Proof:
 
 
 def _mk(conclusion: Sequent, rule: str, premises: tuple[Proof, ...] = (), **params: Any) -> Proof:
-    node = Proof(conclusion, rule, tuple(sorted(params.items())), premises)
-    if __debug__:
-        problem = _validate(node, allow_quantifiers=True)
-        assert problem is None, f"builder produced a bad {rule} node: {problem}"
-    return node
+    return Proof(conclusion, rule, tuple(sorted(params.items())), premises)
 
 
 @dataclass(frozen=True)
@@ -128,12 +175,170 @@ def max_line_length(p: Proof) -> int:
     return p.max_line
 
 
+# ---------------------------------------------------------------------------
+# Cedent geometry, for either side.
+
+_OTHER_SIDE = {"ante": "succ", "succ": "ante"}
+_EDGE_WORDS = {"ante": "antecedent does not start with", "succ": "succedent does not end with"}
+_NOUNS = {
+    Not: "a negation",
+    And: "a conjunction",
+    Or: "a disjunction",
+    Forall: "a universal formula",
+    Exists: "an existential formula",
+}
+_TRUTH = Sequent((), (Const(1),))
+_FALSITY = Sequent((Const(0),), ())
+
+
+def _cedents(s: Sequent, side: str) -> tuple[tuple, tuple]:
+    """The cedent on `side` and the other one."""
+    return (s.antecedent, s.succedent) if side == "ante" else (s.succedent, s.antecedent)
+
+
+def _sequent(side: str, cedent: tuple, other: tuple) -> Sequent:
+    return Sequent(cedent, other) if side == "ante" else Sequent(other, cedent)
+
+
+def _put(side: str, cedent: tuple, formulas: tuple) -> tuple:
+    """`cedent` with `formulas` at its principal end."""
+    return formulas + cedent if side == "ante" else cedent + formulas
+
+
+def _take(side: str, cedent: tuple, k: int) -> tuple[tuple, tuple]:
+    """The k formulas at the principal end of `cedent`, and the rest."""
+    if side == "ante":
+        return cedent[:k], cedent[k:]
+    return cedent[len(cedent) - k :], cedent[: len(cedent) - k]
+
+
 def _remove_at(xs: tuple, i: int) -> tuple:
     return xs[:i] + xs[i + 1 :]
 
 
 def _insert_at(xs: tuple, i: int, value) -> tuple:
     return xs[:i] + (value,) + xs[i:]
+
+
+def _swap_at(xs: tuple, i: int) -> tuple:
+    return xs[:i] + (xs[i + 1], xs[i]) + xs[i + 2 :]
+
+
+# The premise's cedent made from the conclusion's, per structural shape.
+_UNDO = {
+    "insert": _remove_at,
+    "swap": _swap_at,
+    "duplicate": lambda xs, i: _insert_at(xs, i, xs[i]),
+}
+
+
+def backward(tag: str, s: Sequent, idx: int, terms: tuple[Formula, ...] = ()) -> list[Sequent]:
+    """The premises of the logical or quantifier rule `tag` applied
+    backwards to the formula at position idx of its cedent in s.  A
+    quantifier rule substitutes each of `terms` for the bound variable,
+    in order; an eigenvariable is given as its atom.  Raises CaptureError
+    when a substitution would capture."""
+    rule = RULES[tag]
+    side = rule.side
+    cedent, other = _cedents(s, side)
+    f = cedent[idx]
+    rest = _remove_at(cedent, idx)
+    if rule.shape == "other":
+        return [_sequent(side, rest, _put(_OTHER_SIDE[side], other, (f.child,)))]
+    if rule.shape == "both":
+        parts = [(f.left, f.right)]
+    elif rule.shape == "split":
+        parts = [(f.left,), (f.right,)]
+    else:
+        parts = [tuple(substitute(f.body, f.var, t) for t in terms)]
+    return [_sequent(side, _put(side, rest, part), other) for part in parts]
+
+
+# ---------------------------------------------------------------------------
+# The strict checker: one generic validation per node, read off its row.
+
+def _check_axiom(rule: Rule, node: Proof) -> Optional[str]:
+    c = node.conclusion
+    if rule.shape == "rsubst":
+        return _match_rsubst(c)
+    if rule.shape == "identity":
+        holds = len(c.antecedent) == 1 and c.antecedent == c.succedent
+    else:
+        holds = c == (_TRUTH if rule.shape == "truth" else _FALSITY)
+    return None if holds else rule.message
+
+
+def _check_structural(rule: Rule, node: Proof) -> Optional[str]:
+    pos = node.param("pos")
+    cedent, other = _cedents(node.conclusion, rule.side)
+    p_cedent, p_other = _cedents(node.premises[0].conclusion, rule.side)
+    limit = len(cedent) - 1 if rule.shape == "swap" else len(cedent)
+    if type(pos) is not int or not 0 <= pos < limit:  # a bool is no position
+        return f"bad position {pos!r}"
+    if other != p_other:
+        return "side cedent changed"
+    if rule.shape == "duplicate" and len(p_cedent) != len(cedent) + 1:
+        return "premise must contain one extra copy"
+    if _UNDO[rule.shape](cedent, pos) != p_cedent:
+        return rule.message
+    return None
+
+
+def _check_introduction(rule: Rule, node: Proof) -> Optional[str]:
+    c = node.conclusion
+    side = rule.side
+    term = None
+    if rule.shape == "instance":
+        term = node.param("instance")
+        if term is None:
+            return "missing instantiation formula"
+    elif rule.shape == "eigen":
+        eigen = node.param("eigen")
+        if not isinstance(eigen, str):
+            return "missing eigenvariable"
+        term = Atom(eigen)
+    cedent = _cedents(c, side)[0]
+    idx = 0 if side == "ante" else len(cedent) - 1
+    principal = cedent[idx] if cedent else None
+    if not isinstance(principal, rule.principal):
+        return f"conclusion {_EDGE_WORDS[side]} {_NOUNS[rule.principal]}"
+    if rule.shape == "instance":
+        stated_var = node.param("var")
+        if stated_var is not None and stated_var != principal.var:
+            return "stated variable differs from the binder"
+    elif rule.shape == "eigen":
+        for f in c.formulas:
+            if eigen in free_atoms(f):
+                return f"eigenvariable {eigen!r} occurs free in the conclusion"
+    try:
+        wanted = backward(rule.tag, c, idx, (term,))
+    except CaptureError as exc:
+        what = "instantiation" if rule.shape == "instance" else "eigenvariable substitution"
+        return f"{what} would capture: {exc}"
+    if [p.conclusion for p in node.premises] != wanted:
+        return rule.message
+    return None
+
+
+def _check_cut(rule: Rule, node: Proof) -> Optional[str]:
+    c = node.conclusion
+    p1, p2 = (p.conclusion for p in node.premises)
+    if not p1.succedent or not p2.antecedent:
+        return "premises lack a cut formula"
+    a = p1.succedent[-1]
+    if p2.antecedent[0] != a:
+        return "premises disagree on the cut formula"
+    stated = node.param("formula")
+    if stated is not None and stated != a:
+        return "stated cut formula differs from the premises"
+    if (
+        p1.antecedent == c.antecedent
+        and p1.succedent[:-1] == c.succedent
+        and p2.antecedent[1:] == c.antecedent
+        and p2.succedent == c.succedent
+    ):
+        return None
+    return rule.message
 
 
 def _match_rsubst(s: Sequent) -> Optional[str]:
@@ -162,229 +367,40 @@ def _match_rsubst(s: Sequent) -> Optional[str]:
 
 
 def _validate(node: Proof, allow_quantifiers: bool) -> Optional[str]:
-    tag = node.rule
-    if tag not in RULE_TAGS:
-        return f"unknown rule tag {tag!r}"
-    if tag in QUANTIFIER_TAGS and not allow_quantifiers:
-        return "quantifier rule is not part of the propositional calculus"
+    rule = RULES.get(node.rule)
+    if rule is None:
+        return f"unknown rule tag {node.rule!r}"
     if not allow_quantifiers:
+        if rule.principal in (Forall, Exists):
+            return "quantifier rule is not part of the propositional calculus"
         for f in node.conclusion.formulas:
             if not f.quantifier_free:
                 return "quantified formula in a propositional proof"
-    expected = _PREMISE_COUNT[tag]
-    if len(node.premises) != expected:
-        return f"expects {expected} premises, found {len(node.premises)}"
-    c = node.conclusion
-    prems = tuple(p.conclusion for p in node.premises)
-
-    if tag == "AxId":
-        if len(c.antecedent) == 1 and c.antecedent == c.succedent:
-            return None
-        return "conclusion is not of the form A |- A"
-    if tag == "AxTrue":
-        if c.antecedent == () and c.succedent == (Const(1),):
-            return None
-        return "conclusion is not |- 1"
-    if tag == "AxFalse":
-        if c.antecedent == (Const(0),) and c.succedent == ():
-            return None
-        return "conclusion is not 0 |-"
-    if tag == "AxRSubst":
-        return _match_rsubst(c)
-
-    if tag in ("WeakL", "WeakR"):
-        pos = node.param("pos")
-        cedent = c.antecedent if tag == "WeakL" else c.succedent
-        other_c = c.succedent if tag == "WeakL" else c.antecedent
-        p = prems[0]
-        p_cedent = p.antecedent if tag == "WeakL" else p.succedent
-        p_other = p.succedent if tag == "WeakL" else p.antecedent
-        if not isinstance(pos, int) or not (0 <= pos < len(cedent)):
-            return f"bad position {pos!r}"
-        if other_c != p_other:
-            return "side cedent changed"
-        if _remove_at(cedent, pos) != p_cedent:
-            return "conclusion is not the premise with one formula inserted at pos"
-        return None
-    if tag in ("ExchL", "ExchR"):
-        pos = node.param("pos")
-        cedent = c.antecedent if tag == "ExchL" else c.succedent
-        p = prems[0]
-        p_cedent = p.antecedent if tag == "ExchL" else p.succedent
-        p_other = p.succedent if tag == "ExchL" else p.antecedent
-        other_c = c.succedent if tag == "ExchL" else c.antecedent
-        if not isinstance(pos, int) or not (0 <= pos < len(cedent) - 1):
-            return f"bad position {pos!r}"
-        if other_c != p_other:
-            return "side cedent changed"
-        swapped = list(p_cedent)
-        swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
-        if tuple(swapped) != cedent:
-            return "conclusion is not the premise with adjacent formulas swapped at pos"
-        return None
-    if tag in ("ContrL", "ContrR"):
-        pos = node.param("pos")
-        cedent = c.antecedent if tag == "ContrL" else c.succedent
-        p = prems[0]
-        p_cedent = p.antecedent if tag == "ContrL" else p.succedent
-        p_other = p.succedent if tag == "ContrL" else p.antecedent
-        other_c = c.succedent if tag == "ContrL" else c.antecedent
-        if not isinstance(pos, int) or not (0 <= pos < len(cedent)):
-            return f"bad position {pos!r}"
-        if other_c != p_other:
-            return "side cedent changed"
-        if len(p_cedent) != len(cedent) + 1:
-            return "premise must contain one extra copy"
-        if not (
-            p_cedent[pos] == p_cedent[pos + 1] == cedent[pos]
-            and _remove_at(p_cedent, pos) == cedent
-        ):
-            return "premise is not the conclusion with the pos formula duplicated"
-        return None
-
-    if tag == "NotL":
-        p = prems[0]
-        if not c.antecedent or not isinstance(c.antecedent[0], Not):
-            return "conclusion antecedent does not start with a negation"
-        a = c.antecedent[0].child
-        if p.antecedent == c.antecedent[1:] and p.succedent == c.succedent + (a,):
-            return None
-        return "premise is not Gamma |- Delta, A for conclusion ~A, Gamma |- Delta"
-    if tag == "NotR":
-        p = prems[0]
-        if not c.succedent or not isinstance(c.succedent[-1], Not):
-            return "conclusion succedent does not end with a negation"
-        a = c.succedent[-1].child
-        if p.antecedent == (a,) + c.antecedent and p.succedent == c.succedent[:-1]:
-            return None
-        return "premise is not A, Gamma |- Delta for conclusion Gamma |- Delta, ~A"
-    if tag == "AndL":
-        p = prems[0]
-        if not c.antecedent or not isinstance(c.antecedent[0], And):
-            return "conclusion antecedent does not start with a conjunction"
-        ab = c.antecedent[0]
-        if p.antecedent == (ab.left, ab.right) + c.antecedent[1:] and p.succedent == c.succedent:
-            return None
-        return "premise is not A, B, Gamma |- Delta"
-    if tag == "AndR":
-        p1, p2 = prems
-        if not c.succedent or not isinstance(c.succedent[-1], And):
-            return "conclusion succedent does not end with a conjunction"
-        ab = c.succedent[-1]
-        ctx = c.succedent[:-1]
-        if (
-            p1.antecedent == c.antecedent
-            and p2.antecedent == c.antecedent
-            and p1.succedent == ctx + (ab.left,)
-            and p2.succedent == ctx + (ab.right,)
-        ):
-            return None
-        return "premises are not Gamma |- Delta, A and Gamma |- Delta, B"
-    if tag == "OrL":
-        p1, p2 = prems
-        if not c.antecedent or not isinstance(c.antecedent[0], Or):
-            return "conclusion antecedent does not start with a disjunction"
-        ab = c.antecedent[0]
-        ctx = c.antecedent[1:]
-        if (
-            p1.succedent == c.succedent
-            and p2.succedent == c.succedent
-            and p1.antecedent == (ab.left,) + ctx
-            and p2.antecedent == (ab.right,) + ctx
-        ):
-            return None
-        return "premises are not A, Gamma |- Delta and B, Gamma |- Delta"
-    if tag == "OrR":
-        p = prems[0]
-        if not c.succedent or not isinstance(c.succedent[-1], Or):
-            return "conclusion succedent does not end with a disjunction"
-        ab = c.succedent[-1]
-        if p.antecedent == c.antecedent and p.succedent == c.succedent[:-1] + (ab.left, ab.right):
-            return None
-        return "premise is not Gamma |- Delta, A, B"
-    if tag == "Cut":
-        p1, p2 = prems
-        if not p1.succedent or not p2.antecedent:
-            return "premises lack a cut formula"
-        a = p1.succedent[-1]
-        if p2.antecedent[0] != a:
-            return "premises disagree on the cut formula"
-        stated = node.param("formula")
-        if stated is not None and stated != a:
-            return "stated cut formula differs from the premises"
-        if (
-            p1.antecedent == c.antecedent
-            and p1.succedent[:-1] == c.succedent
-            and p2.antecedent[1:] == c.antecedent
-            and p2.succedent == c.succedent
-        ):
-            return None
-        return "contexts do not match Gamma |- Delta, A with A, Gamma |- Delta"
-
-    if tag in ("AllL", "ExR"):
-        p = prems[0]
-        instance = node.param("instance")
-        if instance is None:
-            return "missing instantiation formula"
-        if tag == "AllL":
-            if not c.antecedent or not isinstance(c.antecedent[0], Forall):
-                return "conclusion antecedent does not start with a universal formula"
-            q = c.antecedent[0]
-            rest_ok = p.antecedent[1:] == c.antecedent[1:] and p.succedent == c.succedent
-            got = p.antecedent[0] if p.antecedent else None
-        else:
-            if not c.succedent or not isinstance(c.succedent[-1], Exists):
-                return "conclusion succedent does not end with an existential formula"
-            q = c.succedent[-1]
-            rest_ok = p.succedent[:-1] == c.succedent[:-1] and p.antecedent == c.antecedent
-            got = p.succedent[-1] if p.succedent else None
-        stated_var = node.param("var")
-        if stated_var is not None and stated_var != q.var:
-            return "stated variable differs from the binder"
-        try:
-            wanted = substitute(q.body, q.var, instance)
-        except CaptureError as exc:
-            return f"instantiation would capture: {exc}"
-        if not rest_ok or got != wanted:
-            return "premise principal formula is not the stated instance of the body"
-        return None
-    if tag in ("AllR", "ExL"):
-        p = prems[0]
-        eigen = node.param("eigen")
-        if not isinstance(eigen, str):
-            return "missing eigenvariable"
-        if tag == "AllR":
-            if not c.succedent or not isinstance(c.succedent[-1], Forall):
-                return "conclusion succedent does not end with a universal formula"
-            q = c.succedent[-1]
-            rest_ok = p.succedent[:-1] == c.succedent[:-1] and p.antecedent == c.antecedent
-            got = p.succedent[-1] if p.succedent else None
-        else:
-            if not c.antecedent or not isinstance(c.antecedent[0], Exists):
-                return "conclusion antecedent does not start with an existential formula"
-            q = c.antecedent[0]
-            rest_ok = p.antecedent[1:] == c.antecedent[1:] and p.succedent == c.succedent
-            got = p.antecedent[0] if p.antecedent else None
-        for f in c.formulas:
-            if eigen in free_atoms(f):
-                return f"eigenvariable {eigen!r} occurs free in the conclusion"
-        try:
-            wanted = substitute(q.body, q.var, Atom(eigen))
-        except CaptureError as exc:
-            return f"eigenvariable substitution would capture: {exc}"
-        if not rest_ok or got != wanted:
-            return "premise principal formula is not the body at the eigenvariable"
-        return None
-    return f"unhandled rule {tag!r}"  # pragma: no cover
+    if len(node.premises) != rule.arity:
+        return f"expects {rule.arity} premises, found {len(node.premises)}"
+    if rule.principal is not None:
+        return _check_introduction(rule, node)
+    if rule.side is not None:
+        return _check_structural(rule, node)
+    if rule.shape == "cut":
+        return _check_cut(rule, node)
+    return _check_axiom(rule, node)
 
 
 def _check(p: Proof, allow_quantifiers: bool) -> list[CheckError]:
-    errors = []
-    for path, node in nodes(p):
-        problem = _validate(node, allow_quantifiers)
-        if problem is not None:
-            errors.append(CheckError(path, node.rule, problem))
-    return errors
+    # Walk without paths; only a proof with a bad node is walked again,
+    # in pre-order with paths, to report every bad node.
+    stack = [p]
+    while stack:
+        node = stack.pop()
+        if _validate(node, allow_quantifiers) is not None:
+            return [
+                CheckError(path, bad.rule, problem)
+                for path, bad in nodes(p)
+                if (problem := _validate(bad, allow_quantifiers)) is not None
+            ]
+        stack.extend(node.premises)
+    return []
 
 
 def check_pk(p: Proof) -> list[CheckError]:
@@ -398,19 +414,20 @@ def check_g(p: Proof) -> list[CheckError]:
 
 
 # ---------------------------------------------------------------------------
-# Builders.  Each computes the conclusion from its inputs; in debug mode
-# the constructed node is re-validated by the checker logic above.
+# Builders.  Each computes the conclusion from its inputs and its rule's
+# row and checks nothing: a wrong input yields a node that the one check
+# of the finished proof rejects.
 
 def ax_id(a: Formula) -> Proof:
     return _mk(Sequent((a,), (a,)), "AxId")
 
 
 def ax_true() -> Proof:
-    return _mk(Sequent((), (Const(1),)), "AxTrue")
+    return _mk(_TRUTH, "AxTrue")
 
 
 def ax_false() -> Proof:
-    return _mk(Sequent((Const(0),), ()), "AxFalse")
+    return _mk(_FALSITY, "AxFalse")
 
 
 def ax_rsubst(a: Formula, b: Formula, before: tuple[Formula, ...], after: tuple[Formula, ...]) -> Proof:
@@ -419,74 +436,85 @@ def ax_rsubst(a: Formula, b: Formula, before: tuple[Formula, ...], after: tuple[
     return _mk(Sequent(ante, succ), "AxRSubst")
 
 
+def restructure(tag: str, p: Proof, pos: int, formula: Optional[Formula] = None) -> Proof:
+    """Apply the structural rule `tag` at `pos`; a weakening inserts
+    `formula` there."""
+    rule = RULES[tag]
+    cedent, other = _cedents(p.conclusion, rule.side)
+    if rule.shape == "insert":
+        cedent = _insert_at(cedent, pos, formula)
+    elif rule.shape == "swap":
+        cedent = _swap_at(cedent, pos)
+    else:
+        cedent = _remove_at(cedent, pos)
+    return Proof(_sequent(rule.side, cedent, other), tag, (("pos", pos),), (p,))
+
+
+def introduce(tag: str, ps: tuple[Proof, ...], binder: tuple = (), **params: Any) -> Proof:
+    """Apply the logical or quantifier rule `tag` to the premises `ps`,
+    whose principal parts sit at the rule's cedent end.  A quantifier
+    rule's principal formula is made from `binder`, (variable, body)."""
+    rule = RULES[tag]
+    side = rule.side
+    cedent, other = _cedents(ps[0].conclusion, side)
+    if rule.shape == "other":
+        parts, other = _take(_OTHER_SIDE[side], other, 1)
+    elif rule.shape == "both":
+        parts, cedent = _take(side, cedent, 2)
+    elif rule.shape == "split":
+        first, cedent = _take(side, cedent, 1)
+        parts = first + _take(side, _cedents(ps[1].conclusion, side)[0], 1)[0]
+    else:
+        parts, cedent = binder, _take(side, cedent, 1)[1]
+    return _mk(_sequent(side, _put(side, cedent, (rule.principal(*parts),)), other), tag, ps, **params)
+
+
 def weak_l(p: Proof, f: Formula, pos: int) -> Proof:
-    c = p.conclusion
-    return _mk(Sequent(_insert_at(c.antecedent, pos, f), c.succedent), "WeakL", (p,), pos=pos)
+    return restructure("WeakL", p, pos, f)
 
 
 def weak_r(p: Proof, f: Formula, pos: int) -> Proof:
-    c = p.conclusion
-    return _mk(Sequent(c.antecedent, _insert_at(c.succedent, pos, f)), "WeakR", (p,), pos=pos)
+    return restructure("WeakR", p, pos, f)
 
 
 def exch_l(p: Proof, pos: int) -> Proof:
-    c = p.conclusion
-    ante = list(c.antecedent)
-    ante[pos], ante[pos + 1] = ante[pos + 1], ante[pos]
-    return _mk(Sequent(tuple(ante), c.succedent), "ExchL", (p,), pos=pos)
+    return restructure("ExchL", p, pos)
 
 
 def exch_r(p: Proof, pos: int) -> Proof:
-    c = p.conclusion
-    succ = list(c.succedent)
-    succ[pos], succ[pos + 1] = succ[pos + 1], succ[pos]
-    return _mk(Sequent(c.antecedent, tuple(succ)), "ExchR", (p,), pos=pos)
+    return restructure("ExchR", p, pos)
 
 
 def contr_l(p: Proof, pos: int) -> Proof:
-    c = p.conclusion
-    return _mk(Sequent(_remove_at(c.antecedent, pos), c.succedent), "ContrL", (p,), pos=pos)
+    return restructure("ContrL", p, pos)
 
 
 def contr_r(p: Proof, pos: int) -> Proof:
-    c = p.conclusion
-    return _mk(Sequent(c.antecedent, _remove_at(c.succedent, pos)), "ContrR", (p,), pos=pos)
+    return restructure("ContrR", p, pos)
 
 
 def not_l(p: Proof) -> Proof:
-    c = p.conclusion
-    a = c.succedent[-1]
-    return _mk(Sequent((Not(a),) + c.antecedent, c.succedent[:-1]), "NotL", (p,))
+    return introduce("NotL", (p,))
 
 
 def not_r(p: Proof) -> Proof:
-    c = p.conclusion
-    a = c.antecedent[0]
-    return _mk(Sequent(c.antecedent[1:], c.succedent + (Not(a),)), "NotR", (p,))
+    return introduce("NotR", (p,))
 
 
 def and_l(p: Proof) -> Proof:
-    c = p.conclusion
-    a, b = c.antecedent[0], c.antecedent[1]
-    return _mk(Sequent((And(a, b),) + c.antecedent[2:], c.succedent), "AndL", (p,))
+    return introduce("AndL", (p,))
 
 
 def and_r(p1: Proof, p2: Proof) -> Proof:
-    c1, c2 = p1.conclusion, p2.conclusion
-    a, b = c1.succedent[-1], c2.succedent[-1]
-    return _mk(Sequent(c1.antecedent, c1.succedent[:-1] + (And(a, b),)), "AndR", (p1, p2))
+    return introduce("AndR", (p1, p2))
 
 
 def or_l(p1: Proof, p2: Proof) -> Proof:
-    c1, c2 = p1.conclusion, p2.conclusion
-    a, b = c1.antecedent[0], c2.antecedent[0]
-    return _mk(Sequent((Or(a, b),) + c1.antecedent[1:], c1.succedent), "OrL", (p1, p2))
+    return introduce("OrL", (p1, p2))
 
 
 def or_r(p: Proof) -> Proof:
-    c = p.conclusion
-    a, b = c.succedent[-2], c.succedent[-1]
-    return _mk(Sequent(c.antecedent, c.succedent[:-2] + (Or(a, b),)), "OrR", (p,))
+    return introduce("OrR", (p,))
 
 
 def cut(p1: Proof, p2: Proof) -> Proof:
@@ -496,59 +524,33 @@ def cut(p1: Proof, p2: Proof) -> Proof:
 
 
 def all_l(p: Proof, var: str, body: Formula, instance: Formula) -> Proof:
-    c = p.conclusion
-    return _mk(
-        Sequent((Forall(var, body),) + c.antecedent[1:], c.succedent),
-        "AllL",
-        (p,),
-        var=var,
-        instance=instance,
-    )
+    return introduce("AllL", (p,), (var, body), var=var, instance=instance)
 
 
 def ex_r(p: Proof, var: str, body: Formula, instance: Formula) -> Proof:
-    c = p.conclusion
-    return _mk(
-        Sequent(c.antecedent, c.succedent[:-1] + (Exists(var, body),)),
-        "ExR",
-        (p,),
-        var=var,
-        instance=instance,
-    )
+    return introduce("ExR", (p,), (var, body), var=var, instance=instance)
 
 
 def all_r(p: Proof, var: str, body: Formula, eigen: str) -> Proof:
-    c = p.conclusion
-    return _mk(
-        Sequent(c.antecedent, c.succedent[:-1] + (Forall(var, body),)),
-        "AllR",
-        (p,),
-        eigen=eigen,
-    )
+    return introduce("AllR", (p,), (var, body), eigen=eigen)
 
 
 def ex_l(p: Proof, var: str, body: Formula, eigen: str) -> Proof:
-    c = p.conclusion
-    return _mk(
-        Sequent((Exists(var, body),) + c.antecedent[1:], c.succedent),
-        "ExL",
-        (p,),
-        eigen=eigen,
-    )
+    return introduce("ExL", (p,), (var, body), eigen=eigen)
 
 
 def pad(p: Proof, side: str, target: tuple[Formula, ...], keep: list[int]) -> Proof:
     """Weaken until the cedent on `side` ("ante" or "succ") equals
     `target`; `keep` gives, in order, the target positions of the
     formulas already present."""
-    weaken = weak_l if side == "ante" else weak_r
+    weaken = rule_for(side, "insert")
     placed = sorted(keep)
     keep_set = set(keep)
     for ti, f in enumerate(target):
         if ti in keep_set:
             continue
         pos = sum(1 for existing in placed if existing < ti)
-        p = weaken(p, f, pos)
+        p = restructure(weaken, p, pos, f)
         placed.append(ti)
         placed.sort()
     return p
@@ -557,12 +559,12 @@ def pad(p: Proof, side: str, target: tuple[Formula, ...], keep: list[int]) -> Pr
 def move(p: Proof, side: str, src: int, dst: int) -> Proof:
     """Exchange chain moving the formula at src of the cedent on `side`
     ("ante" or "succ") to dst."""
-    exch = exch_l if side == "ante" else exch_r
+    exch = rule_for(side, "swap")
     while src < dst:
-        p = exch(p, src)
+        p = restructure(exch, p, src)
         src += 1
     while src > dst:
-        p = exch(p, src - 1)
+        p = restructure(exch, p, src - 1)
         src -= 1
     return p
 
@@ -690,8 +692,10 @@ def proof_from_json(data: Any) -> Proof:
         raise ProofFormatError(str(exc))
     if rule not in RULE_TAGS:
         raise ProofFormatError(f"unknown rule tag {rule!r}")
+    if not isinstance(raw_params, dict):
+        raise ProofFormatError("params must be an object")
     params = {}
-    for key, value in dict(raw_params).items():
+    for key, value in raw_params.items():
         if key in ("formula", "instance"):
             try:
                 params[key] = syntax.parse_formula(value)

@@ -80,6 +80,11 @@ def _require(holds: bool, message: str) -> None:
         raise ProverInvariantError(message)
 
 
+def _require_checked(errors: list[proofs.CheckError]) -> None:
+    """The one strict check of a finished proof; its builders check nothing."""
+    _require(not errors, f"finished proof fails the strict check: {errors[0] if errors else ''}")
+
+
 def _top_connective(f: Formula) -> bool:
     return isinstance(f, (Not, And, Or))
 
@@ -115,46 +120,18 @@ def connective_step(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Reb
     """Backwards application of the introduction rule for the principal
     connective of the formula at (side, idx); the rebuild closure adds
     the exchanges that return the principal formula to its position."""
-    if side == "succ":
-        f = s.succedent[idx]
-        last = len(s.succedent) - 1
-        ctx = s.succedent[:idx] + s.succedent[idx + 1 :]
-        if isinstance(f, Not):
-            prem = Sequent((f.child,) + s.antecedent, ctx)
-            rebuild_rule = lambda ps: proofs.not_r(ps[0])
-            prems = [prem]
-        elif isinstance(f, And):
-            prems = [Sequent(s.antecedent, ctx + (f.left,)), Sequent(s.antecedent, ctx + (f.right,))]
-            rebuild_rule = lambda ps: proofs.and_r(ps[0], ps[1])
-        elif isinstance(f, Or):
-            prems = [Sequent(s.antecedent, ctx + (f.left, f.right))]
-            rebuild_rule = lambda ps: proofs.or_r(ps[0])
-        else:
-            raise NotDecomposableError(f"no principal connective at succedent {idx}")
-
-        def rebuild(ps: list[Proof]) -> Proof:
-            return proofs.move(rebuild_rule(ps), "succ", last, idx)
-
-        return prems, rebuild
-
-    f = s.antecedent[idx]
-    ctx = s.antecedent[:idx] + s.antecedent[idx + 1 :]
-    if isinstance(f, Not):
-        prems = [Sequent(ctx, s.succedent + (f.child,))]
-        rebuild_rule = lambda ps: proofs.not_l(ps[0])
-    elif isinstance(f, And):
-        prems = [Sequent((f.left, f.right) + ctx, s.succedent)]
-        rebuild_rule = lambda ps: proofs.and_l(ps[0])
-    elif isinstance(f, Or):
-        prems = [Sequent((f.left,) + ctx, s.succedent), Sequent((f.right,) + ctx, s.succedent)]
-        rebuild_rule = lambda ps: proofs.or_l(ps[0], ps[1])
-    else:
-        raise NotDecomposableError(f"no principal connective at antecedent {idx}")
+    cedent = s.succedent if side == "succ" else s.antecedent
+    f = cedent[idx]
+    if not _top_connective(f):
+        where = "succedent" if side == "succ" else "antecedent"
+        raise NotDecomposableError(f"no principal connective at {where} {idx}")
+    tag = proofs.rule_for(side, type(f))
+    edge = 0 if side == "ante" else len(cedent) - 1
 
     def rebuild(ps: list[Proof]) -> Proof:
-        return proofs.move(rebuild_rule(ps), "ante", 0, idx)
+        return proofs.move(proofs.introduce(tag, tuple(ps)), side, edge, idx)
 
-    return prems, rebuild
+    return proofs.backward(tag, s, idx), rebuild
 
 
 def oracle_step(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Rebuild]:
@@ -320,6 +297,7 @@ def prove(s: Sequent) -> ProveResult:
         )
         return ProveResult(None, None, outcome)
     _require(outcome.conclusion == s, "proof concludes a different sequent")
+    _require_checked(proofs.check_pk(outcome))
     stats = ProverStats(
         counted_sequents=proofs.counted_size(outcome),
         max_line=proofs.max_line_length(outcome),

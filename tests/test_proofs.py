@@ -203,6 +203,8 @@ def test_error_paths_are_preorder():
     errors = check_pk(root)
     paths = [e.path for e in errors]
     assert paths == sorted(paths)
+    # below a good node, the bad ones are still found, at their own paths
+    assert [e.path for e in check_pk(weak_l(root, Atom("r"), 0))] == [(0,) + path for path in paths]
 
 
 def test_json_roundtrip():
@@ -230,6 +232,10 @@ def test_json_rejects_garbage():
         load_proof('{"conclusion": "p |- p", "rule": "Nope", "premises": []}')
     with pytest.raises(proofs.ProofFormatError):
         load_proof('{"conclusion": "p p", "rule": "AxId", "premises": []}')
+    with pytest.raises(proofs.ProofFormatError):
+        load_proof('{"conclusion": "p |- p", "rule": "AxId", "params": 5, "premises": []}')
+    with pytest.raises(proofs.ProofFormatError):
+        load_proof('{"conclusion": "p |- p", "rule": "AxId", "params": ["ab"], "premises": []}')
 
 
 def test_quantifier_rule_json_params():
@@ -250,3 +256,234 @@ def test_soundness_of_generated_proofs():
             assert check_pk(proof) == []
             for _, node in proofs.nodes(proof):
                 assert sequent_valid(node.conclusion)
+
+
+def bare(text, rule="AxId", *premises, **params):
+    """A proof node taken as given, with no builder involved."""
+    parsed = {k: parse_formula(v) if k in ("formula", "instance") else v for k, v in params.items()}
+    return Proof(parse_sequent(text), rule, tuple(sorted(parsed.items())), tuple(premises))
+
+
+def leaf(text):
+    return bare(text)
+
+
+# One broken node per rule tag and failure: the root's exact message,
+# as `rpcalc check` prints it.  These go to check_pk, the quantifier
+# rules below to check_g (the first of them is a good node).
+CHECK_MESSAGES = [
+    (bare("p |- p", "Nope"), "[root] Nope: unknown rule tag 'Nope'"),
+    (bare("all x. x |- all x. x"), "[root] AxId: quantified formula in a propositional proof"),
+    (bare("p |- q"), "[root] AxId: conclusion is not of the form A |- A"),
+    (bare("p, p |- p"), "[root] AxId: conclusion is not of the form A |- A"),
+    (bare("p |- p", "AxId", leaf("p |- p")), "[root] AxId: expects 0 premises, found 1"),
+    (bare("p |- 1", "AxTrue"), "[root] AxTrue: conclusion is not |- 1"),
+    (bare("0 |- p", "AxFalse"), "[root] AxFalse: conclusion is not 0 |-"),
+    (
+        bare("p |- q", "AxRSubst"),
+        "[root] AxRSubst: expects antecedent ~A|B, A|~B, R(...,A,...) and a single succedent formula",
+    ),
+    (bare("p, q, R(p) |- R(q)", "AxRSubst"), "[root] AxRSubst: first antecedent formula is not of the form ~A | B"),
+    (
+        bare("~p | q, q | ~p, R(p) |- R(q)", "AxRSubst"),
+        "[root] AxRSubst: second antecedent formula is not A | ~B for the same A, B",
+    ),
+    (bare("~p | q, p | ~q, p |- R(q)", "AxRSubst"), "[root] AxRSubst: principal formulas are not R applications"),
+    (bare("~p | q, p | ~q, R(p) |- R(q, q)", "AxRSubst"), "[root] AxRSubst: R applications have different arities"),
+    (
+        bare("~p | q, p | ~q, R(r, p) |- R(s, q)", "AxRSubst"),
+        "[root] AxRSubst: no argument position carries A on the left and B on the right with equal context",
+    ),
+    (bare("p |- p", "WeakL"), "[root] WeakL: expects 1 premises, found 0"),
+    (bare("q, p |- p", "WeakL", leaf("p |- p"), pos=2), "[root] WeakL: bad position 2"),
+    (bare("q, p |- p", "WeakL", leaf("p |- p")), "[root] WeakL: bad position None"),
+    (bare("q, p |- p", "WeakL", leaf("p |- p"), pos="0"), "[root] WeakL: bad position '0'"),
+    (bare("q, p |- p, r", "WeakL", leaf("p |- p"), pos=0), "[root] WeakL: side cedent changed"),
+    (
+        bare("q, p |- p", "WeakL", leaf("p |- p"), pos=1),
+        "[root] WeakL: conclusion is not the premise with one formula inserted at pos",
+    ),
+    (bare("p |- p, q", "WeakR", leaf("p |- p"), pos=-1), "[root] WeakR: bad position -1"),
+    (bare("r, p |- p, q", "WeakR", leaf("p |- p"), pos=1), "[root] WeakR: side cedent changed"),
+    (
+        bare("p |- q, p", "WeakR", leaf("p |- p"), pos=1),
+        "[root] WeakR: conclusion is not the premise with one formula inserted at pos",
+    ),
+    (bare("q, p |- p", "ExchL", leaf("p, q |- p"), pos=1), "[root] ExchL: bad position 1"),
+    (bare("q, p |- r", "ExchL", leaf("p, q |- p"), pos=0), "[root] ExchL: side cedent changed"),
+    (
+        bare("p, q |- p", "ExchL", leaf("p, q |- p"), pos=0),
+        "[root] ExchL: conclusion is not the premise with adjacent formulas swapped at pos",
+    ),
+    (bare("p |- q, p", "ExchR", leaf("p |- p, q"), pos=1), "[root] ExchR: bad position 1"),
+    (bare("|- q, p", "ExchR", leaf("p |- p, q"), pos=0), "[root] ExchR: side cedent changed"),
+    (
+        bare("p |- p, q", "ExchR", leaf("p |- p, q"), pos=0),
+        "[root] ExchR: conclusion is not the premise with adjacent formulas swapped at pos",
+    ),
+    (bare("p |- q", "ContrL", leaf("p, p |- q"), pos=1), "[root] ContrL: bad position 1"),
+    (bare("p |- r", "ContrL", leaf("p, p |- q"), pos=0), "[root] ContrL: side cedent changed"),
+    (bare("p |- q", "ContrL", leaf("p |- q"), pos=0), "[root] ContrL: premise must contain one extra copy"),
+    (
+        bare("p |- q", "ContrL", leaf("p, r |- q"), pos=0),
+        "[root] ContrL: premise is not the conclusion with the pos formula duplicated",
+    ),
+    (bare("q |- p", "ContrR", leaf("q |- p, p"), pos=None), "[root] ContrR: bad position None"),
+    (bare("r |- p", "ContrR", leaf("q |- p, p"), pos=0), "[root] ContrR: side cedent changed"),
+    (bare("q |- p", "ContrR", leaf("q |- p, p, p"), pos=0), "[root] ContrR: premise must contain one extra copy"),
+    (
+        bare("q |- p", "ContrR", leaf("q |- r, p"), pos=0),
+        "[root] ContrR: premise is not the conclusion with the pos formula duplicated",
+    ),
+    (bare("~p |- q", "NotL", leaf("|- q, p"), leaf("|- q, p")), "[root] NotL: expects 1 premises, found 2"),
+    (bare("p |- q", "NotL", leaf("|- q, p")), "[root] NotL: conclusion antecedent does not start with a negation"),
+    (bare("|- q", "NotL", leaf("|- q, p")), "[root] NotL: conclusion antecedent does not start with a negation"),
+    (
+        bare("~p |- q", "NotL", leaf("|- p, q")),
+        "[root] NotL: premise is not Gamma |- Delta, A for conclusion ~A, Gamma |- Delta",
+    ),
+    (bare("q |- p", "NotR", leaf("p, q |-")), "[root] NotR: conclusion succedent does not end with a negation"),
+    (
+        bare("q |- ~p", "NotR", leaf("q, p |-")),
+        "[root] NotR: premise is not A, Gamma |- Delta for conclusion Gamma |- Delta, ~A",
+    ),
+    (bare("p | q |- r", "AndL", leaf("p, q |- r")), "[root] AndL: conclusion antecedent does not start with a conjunction"),
+    (bare("p & q |- r", "AndL", leaf("q, p |- r")), "[root] AndL: premise is not A, B, Gamma |- Delta"),
+    (bare("|- p & q", "AndR", leaf("|- p")), "[root] AndR: expects 2 premises, found 1"),
+    (
+        bare("|- p | q", "AndR", leaf("|- p"), leaf("|- q")),
+        "[root] AndR: conclusion succedent does not end with a conjunction",
+    ),
+    (
+        bare("r |- p & q", "AndR", leaf("r |- p"), leaf("|- q")),
+        "[root] AndR: premises are not Gamma |- Delta, A and Gamma |- Delta, B",
+    ),
+    (
+        bare("p & q |- r", "OrL", leaf("p |- r"), leaf("q |- r")),
+        "[root] OrL: conclusion antecedent does not start with a disjunction",
+    ),
+    (
+        bare("p | q |- r", "OrL", leaf("q |- r"), leaf("p |- r")),
+        "[root] OrL: premises are not A, Gamma |- Delta and B, Gamma |- Delta",
+    ),
+    (bare("|- p & q", "OrR", leaf("|- p, q")), "[root] OrR: conclusion succedent does not end with a disjunction"),
+    (bare("|- p | q", "OrR", leaf("|- p, q, r")), "[root] OrR: premise is not Gamma |- Delta, A, B"),
+    (bare("p |- q", "Cut", leaf("p |- q, r")), "[root] Cut: expects 2 premises, found 1"),
+    (bare("p |- q", "Cut", leaf("p |-"), leaf("r, p |- q")), "[root] Cut: premises lack a cut formula"),
+    (bare("p |- q", "Cut", leaf("p |- q, r"), leaf("p |- q")), "[root] Cut: premises disagree on the cut formula"),
+    (
+        bare("p |- q", "Cut", leaf("p |- q, r"), leaf("r, p |- q"), formula="s"),
+        "[root] Cut: stated cut formula differs from the premises",
+    ),
+    (
+        bare("p |- q", "Cut", leaf("p |- r"), leaf("r, p |- q")),
+        "[root] Cut: contexts do not match Gamma |- Delta, A with A, Gamma |- Delta",
+    ),
+    (
+        bare("all x. R(x) |- R(0)", "AllL", leaf("R(0) |- R(0)"), instance="0"),
+        "[root] AllL: quantifier rule is not part of the propositional calculus",
+    ),
+]
+
+QUANTIFIER_MESSAGES = [
+    (bare("all x. R(x) |- R(0)", "AllL", leaf("R(0) |- R(0)"), instance="0", var="x"), None),
+    (bare("all x. R(x) |- R(0)", "AllL", leaf("R(0) |- R(0)")), "[root] AllL: missing instantiation formula"),
+    (
+        bare("R(0) |- R(0)", "AllL", leaf("R(0) |- R(0)"), instance="0"),
+        "[root] AllL: conclusion antecedent does not start with a universal formula",
+    ),
+    (
+        bare("all x. R(x) |- R(0)", "AllL", leaf("R(0) |- R(0)"), instance="0", var="y"),
+        "[root] AllL: stated variable differs from the binder",
+    ),
+    (
+        bare("all x. ex y. x | y |- 1", "AllL", leaf("ex y. y | y |- 1"), instance="y"),
+        "[root] AllL: instantiation would capture: substitution would capture under the binder for 'y'",
+    ),
+    (
+        bare("all x. R(x) |- R(0)", "AllL", leaf("R(1) |- R(0)"), instance="0"),
+        "[root] AllL: premise principal formula is not the stated instance of the body",
+    ),
+    (
+        bare("all x. R(x) |- R(0)", "AllL", leaf("R(0) |- R(1)"), instance="0"),
+        "[root] AllL: premise principal formula is not the stated instance of the body",
+    ),
+    (
+        bare("|- ex x. R(x)", "ExR", leaf("|- R(1)"), leaf("|- R(1)"), instance="1"),
+        "[root] ExR: expects 1 premises, found 2",
+    ),
+    (bare("|- ex x. R(x)", "ExR", leaf("|- R(1)")), "[root] ExR: missing instantiation formula"),
+    (
+        bare("|- all x. R(x)", "ExR", leaf("|- R(1)"), instance="1"),
+        "[root] ExR: conclusion succedent does not end with an existential formula",
+    ),
+    (
+        bare("|- ex x. R(x)", "ExR", leaf("|- R(1)"), instance="1", var="z"),
+        "[root] ExR: stated variable differs from the binder",
+    ),
+    (
+        bare("|- ex x. all y. x | y", "ExR", leaf("|- all y. y | y"), instance="y"),
+        "[root] ExR: instantiation would capture: substitution would capture under the binder for 'y'",
+    ),
+    (
+        bare("|- ex x. R(x)", "ExR", leaf("|-"), instance="1"),
+        "[root] ExR: premise principal formula is not the stated instance of the body",
+    ),
+    (bare("|- all x. R(x)", "AllR", leaf("|- R(y0)")), "[root] AllR: missing eigenvariable"),
+    (bare("|- all x. R(x)", "AllR", leaf("|- R(y0)"), eigen=0), "[root] AllR: missing eigenvariable"),
+    (
+        bare("|- ex x. R(x)", "AllR", leaf("|- R(y0)"), eigen="y0"),
+        "[root] AllR: conclusion succedent does not end with a universal formula",
+    ),
+    (
+        bare("R(y0) |- all x. R(x)", "AllR", leaf("R(y0) |- R(y0)"), eigen="y0"),
+        "[root] AllR: eigenvariable 'y0' occurs free in the conclusion",
+    ),
+    (
+        bare("|- all x. ex y. x | y", "AllR", leaf("|- ex y. y | y"), eigen="y"),
+        "[root] AllR: eigenvariable substitution would capture: substitution would capture under the binder for 'y'",
+    ),
+    (
+        bare("|- all x. R(x)", "AllR", leaf("|- R(y1)"), eigen="y0"),
+        "[root] AllR: premise principal formula is not the body at the eigenvariable",
+    ),
+    (bare("ex x. R(x) |-", "ExL", leaf("R(y0) |-")), "[root] ExL: missing eigenvariable"),
+    (
+        bare("all x. R(x) |-", "ExL", leaf("R(y0) |-"), eigen="y0"),
+        "[root] ExL: conclusion antecedent does not start with an existential formula",
+    ),
+    (
+        bare("ex x. R(x) |- y0", "ExL", leaf("R(y0) |- y0"), eigen="y0"),
+        "[root] ExL: eigenvariable 'y0' occurs free in the conclusion",
+    ),
+    (
+        bare("ex x. R(x) |-", "ExL", leaf("R(y0), q |-"), eigen="y0"),
+        "[root] ExL: premise principal formula is not the body at the eigenvariable",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "checker, node, expected",
+    [(check_pk, node, expected) for node, expected in CHECK_MESSAGES]
+    + [(check_g, node, expected) for node, expected in QUANTIFIER_MESSAGES],
+)
+def test_check_messages_are_pinned(checker, node, expected):
+    errors = [e for e in checker(node) if e.path == ()]
+    assert [str(e) for e in errors] == ([] if expected is None else [expected])
+
+
+@pytest.mark.parametrize("pos, text", [(False, "q, p |- p"), (True, "p, q |- p")])
+def test_boolean_position_is_rejected(pos, text):
+    # True and False are ints to isinstance; as positions they are bad input
+    node = bare(text, "WeakL", ax_id(Atom("p")), pos=pos)
+    assert [str(e) for e in check_pk(node)] == [f"[root] WeakL: bad position {pos!r}"]
+
+
+def test_exchange_over_a_shorter_premise_is_reported():
+    # the premise has no pair at pos to swap back; this must be a
+    # rejection, not an exception out of the checker
+    node = bare("q, p |- p", "ExchL", leaf("|- p"), pos=0)
+    assert str(check_pk(node)[0]) == (
+        "[root] ExchL: conclusion is not the premise with adjacent formulas swapped at pos"
+    )

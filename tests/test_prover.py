@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pathlib
 import random
@@ -6,11 +7,12 @@ import sys
 
 import pytest
 
-from genlib import generate_valid_sequents, random_flat_formula
+from genlib import QUANTIFIED_SUITE, generate_valid_sequents, random_flat_formula
+from rpcalc.gprover import gprove
 from rpcalc.constants import D_LINES, E_LINE_FACTOR
 from rpcalc.formulas import RApp, Sequent, cost_sequent
 from rpcalc.prover import NotDecomposableError, premise_costs, prove
-from rpcalc.proofs import check_pk
+from rpcalc.proofs import check_pk, dump_proof
 from rpcalc.semantics import eval_formula, sequent_valid, validity_formula
 from rpcalc.syntax import parse_formula, parse_sequent, sequent_length
 
@@ -94,6 +96,18 @@ def test_determinism():
     assert prove(s).proof == prove(s).proof
 
 
+def test_proofs_are_byte_identical():
+    # criterion 4's sequents and the quantified suite, pinned node for
+    # node and position for position, so a refactor of the rules or the
+    # prover steps cannot change a single proof
+    digest = hashlib.sha256()
+    for s in generate_valid_sequents(seed=1004, count=200, max_cost=10):
+        digest.update(dump_proof(prove(s).proof).encode() + b"\n")
+    for text in QUANTIFIED_SUITE:
+        digest.update(dump_proof(gprove(parse_sequent(text)).proof).encode() + b"\n")
+    assert digest.hexdigest() == "d2224e97d9a57226414aadc2d169c18569edaad80ba6081cfd7194346dcad2dd"
+
+
 def test_random_valid_suite_with_bounds():
     suite = generate_valid_sequents(seed=52, count=60, max_cost=10)
     r_steps = 0
@@ -140,28 +154,70 @@ BROKEN_STEP = """
 from rpcalc import gprover, proofs, prover
 from rpcalc.syntax import parse_sequent
 assert False  # removed under -O: reaching the next line shows asserts are off
-proofs.move = lambda p, side, src, dst: p  # exchanges forgotten
+{mutation}
 try:
     {call}(parse_sequent({text!r}))
 except prover.ProverInvariantError as exc:
     print("ProverInvariantError:", exc)
 """
 
+# exchanges forgotten: the principal formula is left out of place
+FORGET_EXCHANGES = "proofs.move = lambda p, side, src, dst: p"
+
+# every conclusion stays right, but exchange nodes record the wrong position
+SHIFT_EXCHANGE_POS = """
+made = proofs.Proof
+def shifted(conclusion, rule, params, premises):
+    if rule in ("ExchL", "ExchR"):
+        params = tuple((k, v + 1 if k == "pos" else v) for k, v in params)
+    return made(conclusion, rule, params, premises)
+proofs.Proof = shifted
+"""
+
 
 @pytest.mark.parametrize(
-    "call, text",
-    [("prover.prove", "p, q |- q & p, r"), ("gprover.gprove", "|- (all x. x | ~x), r")],
+    "mutation, call, text, message",
+    [
+        pytest.param(
+            FORGET_EXCHANGES,
+            "prover.prove",
+            "p, q |- q & p, r",
+            "proof concludes a different sequent",
+            id="prover.prove-p, q |- q & p, r",
+        ),
+        pytest.param(
+            FORGET_EXCHANGES,
+            "gprover.gprove",
+            "|- (all x. x | ~x), r",
+            "proof concludes a different sequent",
+            id="gprover.gprove-|- (all x. x | ~x), r",
+        ),
+        pytest.param(
+            SHIFT_EXCHANGE_POS,
+            "prover.prove",
+            "p, q |- q & p, r",
+            "finished proof fails the strict check: [root] ExchR: bad position 1",
+            id="prover.prove-wrong pos",
+        ),
+        pytest.param(
+            SHIFT_EXCHANGE_POS,
+            "gprover.gprove",
+            "|- (all x. x | ~x), r",
+            "finished proof fails the strict check: [root] ExchR: bad position 1",
+            id="gprover.gprove-wrong pos",
+        ),
+    ],
 )
-def test_broken_step_raises_under_optimize(call, text):
-    # a step that leaves the principal formula out of place; with -O the
-    # builders check nothing, so the prover's own checks must catch it
+def test_broken_step_raises_under_optimize(mutation, call, text, message):
+    # with -O every assert is gone; the prover's own checks, and the one
+    # strict check of each finished proof, must still catch a broken step
     env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", BROKEN_STEP.format(call=call, text=text)],
+        [sys.executable, "-O", "-c", BROKEN_STEP.format(mutation=mutation, call=call, text=text)],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "ProverInvariantError: proof concludes a different sequent\n"
+    assert proc.stdout == f"ProverInvariantError: {message}\n"
