@@ -2,8 +2,10 @@
 
 Exit codes are uniform across subcommands: 0 success or positive result,
 1 negative result (unsatisfiable, invalid, failed check), 2 usage or
-parse error (including input nested too deeply), 3 budget exceeded.
-Outputs carry no timestamps; identical invocations produce
+parse error, 3 budget exceeded.  Parsing accepts nesting of any depth,
+but some walks over the parsed formula still recurse: where one exceeds
+the recursion limit the command reports "input nested too deeply" and
+exits 2.  Outputs carry no timestamps; identical invocations produce
 byte-identical output.
 """
 

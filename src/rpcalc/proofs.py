@@ -683,7 +683,7 @@ def proof_from_json(data: Any) -> Proof:
         conclusion = syntax.parse_sequent(data["conclusion"])
         rule = data["rule"]
         raw_params = data.get("params", {})
-        premises = tuple(proof_from_json(q) for q in data.get("premises", []))
+        premises = tuple([proof_from_json(q) for q in data.get("premises", [])])
     except ProofFormatError:
         raise
     except KeyError as exc:

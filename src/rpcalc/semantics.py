@@ -117,7 +117,7 @@ def _eval(f: Formula, env: dict[str, int], oracle_fn: Callable[[str], int]) -> i
             return 1
         return _eval(f.right, env, oracle_fn)
     if isinstance(f, RApp):
-        s = "".join(str(_eval(a, env, oracle_fn)) for a in f.args)
+        s = "".join([str(_eval(a, env, oracle_fn)) for a in f.args])
         return oracle_fn(s)
     # Quantifiers range over {0,1}.
     missing = object()

@@ -1,4 +1,4 @@
-"""Concrete syntax: tokenizer, recursive-descent parser, canonical printer.
+"""Concrete syntax: regex tokenizer, precedence-climbing parser, canonical printer.
 
 Grammar (ASCII only):
 
@@ -15,6 +15,9 @@ Grammar (ASCII only):
 Quantifier bodies extend as far right as possible within the enclosing
 group.  Atom names match [a-z][a-zA-Z0-9_]*; `R`, `all`, `ex` are
 reserved.  "#" starts a comment; batch files hold one entry per line.
+Any other character, non-ASCII ones included, is a ParseError.  The
+parser keeps its own operand and operator stacks, so it accepts nesting
+of any depth.
 
 The canonical printer emits minimal parentheses for the binary
 connectives and always parenthesizes quantified subformulas that occur
@@ -25,20 +28,23 @@ variables, R, parentheses, commas and dots all count 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+import re
+from itertools import islice, repeat
+from typing import Optional, Union
 
 from .formulas import (
     And,
     Atom,
     Const,
     Exists,
+    FALSE,
     Forall,
     Formula,
     Not,
     Or,
     RApp,
     Sequent,
+    TRUE,
     _fill,
     iff,
     implies,
@@ -52,219 +58,236 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+# Every character of the text belongs to exactly one match, so findall
+# tiles the text: whitespace runs and comments give "" (no group), and
+# every other match is one token, taking along the single space that
+# usually precedes it.  Anything the grammar has no token for (a digit
+# other than 0 and 1, any non-ASCII character) is a one-character token
+# of its own, rejected when the parse fails.
+_TOKEN = re.compile(r" ?(?:[ \t\r\n]+|#[^\n]*|([A-Za-z_][A-Za-z0-9_]*|<=>|=>|\|-|.))", re.DOTALL)
 
+# Token kinds.  A binary connective's kind is its binding strength and
+# `~` binds tighter than all of them.  The parser's operator stack holds
+# these numbers, and quantifiers and group openers are pushed as their
+# kinds of 0 and below, so "reduce while the top binds at least as
+# tightly" is one comparison that stops at every quantifier and group.
+IFF, IMP, OR, AND, NOT = 1, 2, 3, 4, 5
+ALL, EX, LPAREN, RSYM, BOTTOM = 0, -1, -2, -3, -4
+WORD, CONST, RPAREN, COMMA, DOT, TURNSTILE, EOF = 6, 7, 8, 9, 10, 11, 12
 
-_SINGLE = {
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ",": "COMMA",
-    ".": "DOT",
-    "~": "TILDE",
-    "&": "AMP",
-    "|": "PIPE",
+_KINDS = {
+    "<=>": IFF,
+    "=>": IMP,
+    "|": OR,
+    "&": AND,
+    "~": NOT,
+    "all": ALL,
+    "ex": EX,
+    "(": LPAREN,
+    "R": RSYM,
+    "0": CONST,
+    "1": CONST,
+    ")": RPAREN,
+    ",": COMMA,
+    ".": DOT,
+    "|-": TURNSTILE,
 }
 
-_KEYWORDS = {"all": "ALL", "ex": "EX", "R": "RSYM"}
+_CONSTS = {"0": FALSE, "1": TRUE}
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+def tokenize(text: str) -> tuple[list[int], list[str]]:
+    """The tokens of text as parallel lists of kinds and texts, ending
+    with an EOF token whose text is "".  Words that are not keywords
+    have kind WORD, which includes invalid identifiers and unexpected
+    characters: the parser rejects those (see _bad_token)."""
+    texts = list(filter(None, _TOKEN.findall(text)))
+    kinds = list(map(_KINDS.get, texts, repeat(WORD)))
+    texts.append("")
+    kinds.append(EOF)
+    return kinds, texts
+
+
+def _bad_token(texts: list[str]) -> Optional[tuple[int, str]]:
+    """The index and message of the first token that is not in the
+    grammar's alphabet, if any."""
+    for i, t in enumerate(texts[:-1]):
+        if t in _KINDS or "a" <= t[0] <= "z":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
+        if t[0] == "_" or "A" <= t[0] <= "Z":
+            return i, f"invalid identifier {t!r} (atom names start lowercase; R is reserved)"
+        return i, f"unexpected character {t!r}"
+    return None
+
+
+def _position(text: str, texts: list[str], index: int) -> tuple[int, int]:
+    """Line and column of token `index`, found by scanning the text again."""
+    if index == len(texts) - 1:
+        # end of input: columns do not advance through a trailing comment
+        start = text.rfind("\n") + 1
+        comment = text.find("#", start)
+        offset = comment if comment >= 0 else len(text)
+    else:
+        tokens = (m for m in _TOKEN.finditer(text) if m.lastindex)
+        offset = next(islice(tokens, index, None)).start(1)
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+class _Fail(Exception):
+    def __init__(self, index: int, message: str):
+        self.index = index
+        self.message = message
+
+
+def _expected(what: str, texts: list[str], index: int) -> _Fail:
+    return _Fail(index, f"expected {what}, found {texts[index] or 'end of input'!r}")
+
+
+def _reduce(op: int, vals: list) -> None:
+    """Apply the operator popped from the stack to the operands on top of
+    vals.  A quantifier's operands are its variable's name and its body."""
+    right = vals.pop()
+    if op == AND:
+        vals[-1] = And(vals[-1], right)
+    elif op == OR:
+        vals[-1] = Or(vals[-1], right)
+    elif op == NOT:
+        vals.append(Not(right))
+    elif op == IMP:
+        vals[-1] = implies(vals[-1], right)
+    elif op == IFF:
+        vals[-1] = iff(vals[-1], right)
+    elif op == ALL:
+        vals[-1] = Forall(vals[-1], right)
+    else:
+        vals[-1] = Exists(vals[-1], right)
+
+
+def _climb(kinds: list[int], texts: list[str], sequent: bool) -> Union[Formula, Sequent]:
+    """Precedence climbing over explicit stacks: ops holds pending
+    connectives, quantifiers and open groups, vals the operands.  A
+    quantifier's body extends to the end of its group, so only a token
+    that closes a group reduces it."""
+    ops = [BOTTOM]
+    vals: list = []
+    starts: list[int] = []  # vals heights where open R( argument lists begin
+    atoms: dict[str, Formula] = {}
+    ante: Optional[tuple[Formula, ...]] = None
+    cedent_start = 0 if sequent else -1  # token index where an empty cedent may end
+    i = 0
+    while True:
+        # an operand is due: take prefixes until one is complete
+        while True:
+            k = kinds[i]
+            if k == WORD:
+                t = texts[i]
+                node = atoms.get(t)
+                if node is None:
+                    node = atoms[t] = Atom(t)
+                vals.append(node)
                 i += 1
-            continue
-        if text.startswith("<=>", i):
-            tokens.append(Token("IFF", "<=>", line, col))
-            i += 3
-            col += 3
-            continue
-        if text.startswith("=>", i):
-            tokens.append(Token("IMP", "=>", line, col))
-            i += 2
-            col += 2
-            continue
-        if text.startswith("|-", i):
-            tokens.append(Token("TURNSTILE", "|-", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SINGLE:
-            tokens.append(Token(_SINGLE[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in "01":
-            tokens.append(Token("CONST", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word in _KEYWORDS:
-                tokens.append(Token(_KEYWORDS[word], word, line, col))
-            elif word[0].islower():
-                tokens.append(Token("ID", word, line, col))
+                break
+            if k == CONST:
+                vals.append(_CONSTS[texts[i]])
+                i += 1
+                break
+            if k == NOT or k == LPAREN:
+                ops.append(k)
+                i += 1
+            elif k == RSYM:
+                if kinds[i + 1] != LPAREN:
+                    raise _Fail(i, "reserved name R used as an atom")
+                if kinds[i + 2] == RPAREN:
+                    vals.append(RApp(()))
+                    i += 3
+                    break
+                ops.append(RSYM)
+                starts.append(len(vals))
+                i += 2
+            elif k == ALL or k == EX:
+                if kinds[i + 1] != WORD:
+                    raise _expected("a bound variable name", texts, i + 1)
+                if kinds[i + 2] != DOT:
+                    raise _expected("'.'", texts, i + 2)
+                ops.append(k)
+                vals.append(texts[i + 1])
+                i += 3
+            elif (k == TURNSTILE or k == EOF) and i == cedent_start:
+                break  # an empty cedent
             else:
-                raise ParseError(
-                    f"invalid identifier {word!r} (atom names start lowercase; R is reserved)",
-                    line,
-                    col,
-                )
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+                raise _expected("a formula", texts, i)
+        # an operand is complete: close groups until a connective or comma
+        while True:
+            k = kinds[i]
+            if NOT > k > ALL:
+                if k == IMP:  # right associative
+                    while ops[-1] > k:
+                        _reduce(ops.pop(), vals)
+                else:
+                    while ops[-1] >= k:
+                        _reduce(ops.pop(), vals)
+                ops.append(k)
+                i += 1
+                break
+            while ops[-1] >= EX:
+                _reduce(ops.pop(), vals)
+            top = ops[-1]
+            if k == COMMA:
+                if top == RSYM or top == BOTTOM and sequent:
+                    i += 1
+                    break
+                raise _expected("')'" if top != BOTTOM else "end of input", texts, i)
+            if k == RPAREN and top == LPAREN:
+                ops.pop()
+            elif k == RPAREN and top == RSYM:
+                ops.pop()
+                start = starts.pop()
+                args = tuple(vals[start:])
+                del vals[start:]
+                vals.append(RApp(args))
+            elif top != BOTTOM:
+                raise _expected("')'", texts, i)
+            elif k == TURNSTILE and ante is None and sequent:
+                ante = tuple(vals)
+                vals.clear()
+                i += 1
+                cedent_start = i
+                break
+            elif k == EOF and (ante is not None or not sequent):
+                return Sequent(ante, tuple(vals)) if sequent else vals[0]
+            else:
+                raise _expected("'|-'" if ante is None and sequent else "end of input", texts, i)
+            i += 1
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> Token:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, kind: str, what: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected {what}, found {t.text or 'end of input'!r}", t.line, t.col)
-        return self.take()
-
-    def formula(self) -> Formula:
-        out = self.imp()
-        while self.peek().kind == "IFF":
-            self.take()
-            out = iff(out, self.imp())
-        return out
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.peek().kind == "IMP":
-            self.take()
-            return implies(left, self.imp())
-        return left
-
-    def disj(self) -> Formula:
-        out = self.conj()
-        while self.peek().kind == "PIPE":
-            self.take()
-            out = Or(out, self.conj())
-        return out
-
-    def conj(self) -> Formula:
-        out = self.unary()
-        while self.peek().kind == "AMP":
-            self.take()
-            out = And(out, self.unary())
-        return out
-
-    def unary(self) -> Formula:
-        t = self.peek()
-        if t.kind == "TILDE":
-            self.take()
-            return Not(self.unary())
-        if t.kind in ("ALL", "EX"):
-            self.take()
-            var = self.expect("ID", "a bound variable name")
-            self.expect("DOT", "'.'")
-            body = self.formula()
-            return (Forall if t.kind == "ALL" else Exists)(var.text, body)
-        return self.atom()
-
-    def atom(self) -> Formula:
-        t = self.take()
-        if t.kind == "CONST":
-            return Const(int(t.text))
-        if t.kind == "ID":
-            return Atom(t.text)
-        if t.kind == "RSYM":
-            if self.peek().kind != "LPAREN":
-                raise ParseError("reserved name R used as an atom", t.line, t.col)
-            self.take()
-            args: list[Formula] = []
-            if self.peek().kind != "RPAREN":
-                args.append(self.formula())
-                while self.peek().kind == "COMMA":
-                    self.take()
-                    args.append(self.formula())
-            self.expect("RPAREN", "')'")
-            return RApp(tuple(args))
-        if t.kind == "LPAREN":
-            out = self.formula()
-            self.expect("RPAREN", "')'")
-            return out
-        raise ParseError(f"expected a formula, found {t.text or 'end of input'!r}", t.line, t.col)
-
-    def cedent(self) -> list[Formula]:
-        if self.peek().kind in ("TURNSTILE", "EOF"):
-            return []
-        out = [self.formula()]
-        while self.peek().kind == "COMMA":
-            self.take()
-            out.append(self.formula())
-        return out
-
-    def sequent(self) -> Sequent:
-        ante = self.cedent()
-        self.expect("TURNSTILE", "'|-'")
-        succ = self.cedent()
-        return Sequent(tuple(ante), tuple(succ))
+def _parse(text: str, kinds: list[int], texts: list[str], sequent: bool):
+    try:
+        return _climb(kinds, texts, sequent)
+    except (_Fail, ValueError) as exc:
+        # a token outside the alphabet is reported first, wherever it is,
+        # and it is what makes a node constructor raise ValueError
+        found = _bad_token(texts)
+        if found is not None:
+            index, message = found
+        elif isinstance(exc, _Fail):
+            index, message = exc.index, exc.message
+        else:
+            raise
+    raise ParseError(message, *_position(text, texts, index))
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(tokenize(text))
-    out = p.formula()
-    p.expect("EOF", "end of input")
-    return out
+    return _parse(text, *tokenize(text), False)
 
 
 def parse_sequent(text: str) -> Sequent:
-    p = _Parser(tokenize(text))
-    out = p.sequent()
-    p.expect("EOF", "end of input")
-    return out
+    return _parse(text, *tokenize(text), True)
 
 
 def parse_entry(text: str) -> Union[Formula, Sequent]:
     """Parse a formula or, if a turnstile is present, a sequent."""
-    tokens = tokenize(text)
-    if any(t.kind == "TURNSTILE" for t in tokens):
-        p = _Parser(tokens)
-        out: Union[Formula, Sequent] = p.sequent()
-    else:
-        p = _Parser(tokens)
-        out = p.formula()
-    p.expect("EOF", "end of input")
-    return out
+    kinds, texts = tokenize(text)
+    return _parse(text, kinds, texts, TURNSTILE in kinds)
 
 
 def iter_entries(text: str) -> list[tuple[int, str]]:

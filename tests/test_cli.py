@@ -17,6 +17,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """`python -m rpcalc` in a fresh interpreter, for failures that a
+    test process could not survive or that depend on its state."""
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run(
+        [sys.executable, "-m", "rpcalc", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
 def test_parse_echoes_canonical(tmp_path, capsys):
     f = tmp_path / "in.pc"
     f.write_text("# comment\np=>q\np , q|-r\n")
@@ -31,6 +44,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "parse", str(f))
     assert code == 2
     assert "error" in err
+
+
+def test_non_ascii_is_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "in.pc"
+    f.write_text("p & \u00e9\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "parse", str(f))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {f}:1: 1:5: unexpected character '\u00e9'\n"
 
 
 def test_eval(tmp_path, capsys, data_dir):
@@ -198,29 +220,63 @@ def test_version_lists_constants(capsys):
     assert "c_alpha" in out
 
 
+# command: (input, exit code, stdout, stderr).  The parser keeps its own
+# stacks, so deep parentheses parse; a long negation chain still
+# overflows the recursive walks after parsing.
 DEEP_INPUTS = {
-    "valid": "~" * 300_000 + "p | ~p\n",
-    "parse": "(" * 20_000 + "p" + ")" * 20_000 + "\n",
+    "valid": ("~" * 300_000 + "p | ~p\n", 2, "", "error: input nested too deeply\n"),
+    "parse": ("(" * 20_000 + "p" + ")" * 20_000 + "\n", 0, "p\n", ""),
 }
 
 
 @pytest.mark.parametrize("command", sorted(DEEP_INPUTS))
 def test_deep_nesting_is_a_usage_error(tmp_path, command):
-    # run in a fresh interpreter: the overflow must be caught by the CLI
+    # run in a fresh interpreter: an overflow must be caught by the CLI
     # itself, whatever state the test process is in
+    text, code, stdout, stderr = DEEP_INPUTS[command]
     f = tmp_path / "deep.pc"
-    f.write_text(DEEP_INPUTS[command])
-    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run(
-        [sys.executable, "-m", "rpcalc", command, str(f)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
+    f.write_text(text)
+    proc = run_module(command, str(f))
+    assert proc.returncode == code
+    assert proc.stderr == stderr
+    assert proc.stdout == stdout
+
+
+@pytest.mark.parametrize("depth", [15_000, 30_000])
+@pytest.mark.parametrize("command", ["sat", "valid", "sat-pi1", "eval"])
+def test_deep_oracle_nesting_ends_cleanly(tmp_path, command, depth):
+    # a walk that recurses through a builtin (a generator consumed by
+    # str.join, say) nests C frames below the recursion limit's reach,
+    # so deep input ended the interpreter with SIGSEGV
+    f = tmp_path / "deep.pc"
+    f.write_text("R(" * depth + "p" + ")" * depth + "\n")
+    argv = [command, str(f)]
+    if command == "eval":
+        structure = tmp_path / "s.json"
+        structure.write_text('{"atoms": {"p": 1}, "oracle": []}')
+        argv += ["--structure", str(structure)]
+    proc = run_module(*argv)
+    assert 0 <= proc.returncode <= 3, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+
+
+def test_deep_proof_is_checked(tmp_path):
+    # 30,000 exchanges over "p, q |- p".  Loading recurses once per
+    # level; building the premises through a generator consumed by
+    # tuple() nested C frames too, and crashed the interpreter here
+    leaf = (
+        '{"conclusion":"p, q |- p","params":{"pos":1},"premises":'
+        '[{"conclusion":"p |- p","params":{},"premises":[],"rule":"AxId"}],"rule":"WeakL"}'
     )
-    assert proc.returncode == 2
-    assert proc.stderr == "error: input nested too deeply\n"
-    assert proc.stdout == ""
+    depth = 30_000
+    opens = [
+        '{"conclusion":"%s","params":{"pos":0},"premises":[' % ("p, q |- p" if k % 2 else "q, p |- p")
+        for k in range(depth)
+    ]
+    f = tmp_path / "deep.json"
+    f.write_text("".join(reversed(opens)) + leaf + '],"rule":"ExchL"}' * depth)
+    proc = run_module("check", str(f))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "OK\n", "")
 
 
 def test_import_leaves_numpy_unloaded():

@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -16,6 +20,8 @@ from rpcalc.syntax import (
     parse_formula,
     parse_sequent,
 )
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def test_implication_desugars():
@@ -130,3 +136,59 @@ def test_sequent_roundtrip():
             tuple(random_ast(rng, 3) for _ in range(rng.randint(0, 3))),
         )
         assert parse_sequent(format_sequent(s)) == s
+
+
+@given(st.text())
+def test_any_text_parses_or_raises_parse_error(text):
+    for parse in (parse_formula, parse_sequent, parse_entry):
+        try:
+            parse(text)
+        except ParseError:
+            pass
+
+
+def test_non_ascii_is_an_unexpected_character():
+    for text, col in (("é", 1), ("p & é", 5), ("pé |- q", 2), ("x²", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_entry(text)
+        assert str(err.value) == f"1:{col}: unexpected character {text[col - 1]!r}"
+
+
+DEPTH = 100_000
+
+DEEP_CHAINS = """
+import sys
+from rpcalc.formulas import And, Atom, Forall, Not, RApp, implies
+from rpcalc.syntax import format_formula, parse_formula
+
+sys.setrecursionlimit(1000)
+n = {depth}
+p, q, x = Atom("p"), Atom("q"), Atom("x")
+chains = {{
+    "~": ("~" * n + "p", p, Not),
+    "R(": ("R(" * n + "p" + ")" * n, p, lambda g: RApp((g,))),
+    "all x.": ("all x. " * n + "x", x, lambda g: Forall("x", g)),
+    "(p &": ("(p & " * n + "q" + ")" * n, q, lambda g: And(p, g)),
+    "=>": ("p => " * n + "q", q, lambda g: implies(p, g)),
+}}
+for name, (text, node, wrap) in chains.items():
+    for _ in range(n):
+        node = wrap(node)
+    assert parse_formula(text) is node, name
+    assert parse_formula(format_formula(node)) is node, name
+print("ok")
+"""
+
+
+def test_deep_chains_round_trip_below_the_default_recursion_limit():
+    # a fresh interpreter, so the lowered limit binds nothing else
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", DEEP_CHAINS.format(depth=DEPTH)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "ok\n"
