@@ -10,6 +10,7 @@ a node's measures are computed once and kept on it.
 
 from __future__ import annotations
 
+import itertools
 import re
 import weakref
 from dataclasses import dataclass
@@ -444,6 +445,12 @@ def all_names(f: Formula) -> frozenset[str]:
         elif isinstance(g, (Forall, Exists)):
             out.add(g.var)
     return frozenset(out)
+
+
+def fresh_names(prefix: str, taken: AbstractSet[str]) -> Iterator[str]:
+    """prefix0, prefix1, ... in order, skipping every name in `taken`."""
+    names = (f"{prefix}{i}" for i in itertools.count())
+    return (name for name in names if name not in taken)
 
 
 def sequent_free_atoms(s: Sequent) -> frozenset[str]:

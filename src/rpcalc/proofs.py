@@ -489,28 +489,8 @@ def contr_l(p: Proof, pos: int) -> Proof:
     return restructure("ContrL", p, pos)
 
 
-def contr_r(p: Proof, pos: int) -> Proof:
-    return restructure("ContrR", p, pos)
-
-
-def not_l(p: Proof) -> Proof:
-    return introduce("NotL", (p,))
-
-
 def not_r(p: Proof) -> Proof:
     return introduce("NotR", (p,))
-
-
-def and_l(p: Proof) -> Proof:
-    return introduce("AndL", (p,))
-
-
-def and_r(p1: Proof, p2: Proof) -> Proof:
-    return introduce("AndR", (p1, p2))
-
-
-def or_l(p1: Proof, p2: Proof) -> Proof:
-    return introduce("OrL", (p1, p2))
 
 
 def or_r(p: Proof) -> Proof:
@@ -529,14 +509,6 @@ def all_l(p: Proof, var: str, body: Formula, instance: Formula) -> Proof:
 
 def ex_r(p: Proof, var: str, body: Formula, instance: Formula) -> Proof:
     return introduce("ExR", (p,), (var, body), var=var, instance=instance)
-
-
-def all_r(p: Proof, var: str, body: Formula, eigen: str) -> Proof:
-    return introduce("AllR", (p,), (var, body), eigen=eigen)
-
-
-def ex_l(p: Proof, var: str, body: Formula, eigen: str) -> Proof:
-    return introduce("ExL", (p,), (var, body), eigen=eigen)
 
 
 def pad(p: Proof, side: str, target: tuple[Formula, ...], keep: list[int]) -> Proof:
@@ -573,8 +545,6 @@ def move(p: Proof, side: str, src: int, dst: int) -> Proof:
 # The four argument-substitution schemes.  Each derivation has a fixed
 # node count regardless of A and the surrounding argument vectors:
 # counted sizes are 7, 7, 9, 9.
-
-E_SCHEMES = ("E1", "E2", "E3", "E4")
 
 
 def scheme_conclusion(which: str, a: Formula, before, after) -> Sequent:

@@ -1,4 +1,4 @@
-"""Automatic prover for valid quantifier-free sequents.
+"""Backward proof search for valid sequents, with and without quantifiers.
 
 The procedure recurses on sequent cost.  At cost 0 every formula is an
 atom, a constant, or an R application with constant arguments, and a
@@ -14,12 +14,16 @@ proof of a cost-c sequent has at most D_LINES * 2^c counted lines.
 Invalid sequents surface at the base case, where a falsifying structure
 can be read off directly; every reduction step is invertible, so the
 same structure falsifies the original sequent.
+
+A sequent that still holds a quantifier (only gprove passes one) takes
+a quantifier step on its first top-level quantifier, else a connective
+step, or else answers UNKNOWN: its quantifiers sit inside R arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from . import proofs, syntax
 from .constants import D_LINES, E_LINE_FACTOR
@@ -27,16 +31,21 @@ from .formulas import (
     And,
     Atom,
     Const,
+    Exists,
+    Forall,
     Formula,
     Not,
     Or,
     RApp,
     Sequent,
     cost_sequent,
-    is_quantifier_free,
+    node_count,
+    quantifier_depth,
 )
 from .proofs import Proof
 from .semantics import Structure, eval_formula, validity_formula
+
+UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -80,13 +89,16 @@ def _require(holds: bool, message: str) -> None:
         raise ProverInvariantError(message)
 
 
-def _require_checked(errors: list[proofs.CheckError]) -> None:
-    """The one strict check of a finished proof; its builders check nothing."""
-    _require(not errors, f"finished proof fails the strict check: {errors[0] if errors else ''}")
+def _cedent(s: Sequent, side: str) -> tuple[Formula, ...]:
+    return s.succedent if side == "succ" else s.antecedent
 
 
 def _top_connective(f: Formula) -> bool:
     return isinstance(f, (Not, And, Or))
+
+
+def _top_quantifier(f: Formula) -> bool:
+    return isinstance(f, (Forall, Exists))
 
 
 def _r_with_nonconst(f: Formula) -> Optional[int]:
@@ -98,35 +110,50 @@ def _r_with_nonconst(f: Formula) -> Optional[int]:
     return None
 
 
-def choose_target(s: Sequent) -> Optional[tuple[str, int]]:
-    """Deterministic decomposition target: first principal connective
-    (succedent first), else first R application with a non-constant
-    argument.  None at cost 0."""
+def _first(s: Sequent, test: Callable[[Formula], bool]) -> Optional[tuple[str, int]]:
+    """Position of the first formula that passes `test`, scanning the
+    succedent left to right, then the antecedent."""
     for side, cedent in (("succ", s.succedent), ("ante", s.antecedent)):
         for i, f in enumerate(cedent):
-            if _top_connective(f):
-                return side, i
-    for side, cedent in (("succ", s.succedent), ("ante", s.antecedent)):
-        for i, f in enumerate(cedent):
-            if _r_with_nonconst(f) is not None:
+            if test(f):
                 return side, i
     return None
 
 
+def choose_target(s: Sequent) -> Optional[tuple[str, int]]:
+    """Deterministic decomposition target: first principal connective
+    (succedent first), else first R application with a non-constant
+    argument.  None at cost 0."""
+    return _first(s, _top_connective) or _first(s, lambda f: _r_with_nonconst(f) is not None)
+
+
+def _measure(s: Sequent) -> int:
+    """Termination measure of the quantified search: every step shrinks it.
+    Quantifier steps trade one depth-d formula for at most two depth-(d-1)
+    copies; connective steps keep depths and shrink sizes."""
+    return sum((4 ** quantifier_depth(f)) * node_count(f) for f in s.formulas)
+
+
 Rebuild = Callable[[list[Proof]], Proof]
+
+
+def _principal(
+    s: Sequent, side: str, idx: int, test: Callable[[Formula], bool], what: str
+) -> tuple[Formula, str, int]:
+    """The formula at (side, idx), which must pass `test`, its rule tag,
+    and the principal end of its cedent."""
+    cedent = _cedent(s, side)
+    f = cedent[idx]
+    if not test(f):
+        raise NotDecomposableError(f"no {what} at {side} {idx}")
+    return f, proofs.rule_for(side, type(f)), 0 if side == "ante" else len(cedent) - 1
 
 
 def connective_step(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Rebuild]:
     """Backwards application of the introduction rule for the principal
     connective of the formula at (side, idx); the rebuild closure adds
     the exchanges that return the principal formula to its position."""
-    cedent = s.succedent if side == "succ" else s.antecedent
-    f = cedent[idx]
-    if not _top_connective(f):
-        where = "succedent" if side == "succ" else "antecedent"
-        raise NotDecomposableError(f"no principal connective at {where} {idx}")
-    tag = proofs.rule_for(side, type(f))
-    edge = 0 if side == "ante" else len(cedent) - 1
+    _, tag, edge = _principal(s, side, idx, _top_connective, "principal connective")
 
     def rebuild(ps: list[Proof]) -> Proof:
         return proofs.move(proofs.introduce(tag, tuple(ps)), side, edge, idx)
@@ -136,8 +163,7 @@ def connective_step(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Reb
 
 def oracle_step(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Rebuild]:
     """Reduction of an R application with a non-constant argument."""
-    cedent = s.succedent if side == "succ" else s.antecedent
-    f = cedent[idx]
+    f = _cedent(s, side)[idx]
     arg_idx = _r_with_nonconst(f)
     if arg_idx is None:
         raise NotDecomposableError(f"formula at {side} {idx} has no non-constant R argument")
@@ -203,13 +229,50 @@ def oracle_step(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Rebuild
     return [prem1, prem2], rebuild
 
 
-def decompose(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Rebuild]:
-    cedent = s.succedent if side == "succ" else s.antecedent
+def quantifier_step(
+    s: Sequent, side: str, idx: int, fresh: Iterator[str]
+) -> tuple[list[Sequent], Rebuild]:
+    """Backwards quantifier rule at (side, idx).  ExR and AllL take both
+    constant instances, rebuilt with two instantiations (the one at the
+    end first), an exchange and a contraction; AllR and ExL take the next
+    eigenvariable from `fresh`."""
+    q, tag, edge = _principal(s, side, idx, _top_quantifier, "top quantifier")
+    if proofs.RULES[tag].shape == "instance":
+        first, second = (Const(0), Const(1)) if side == "ante" else (Const(1), Const(0))
+
+        def rebuild(ps: list[Proof]) -> Proof:
+            (p,) = ps
+            p = proofs.introduce(tag, (p,), (q.var, q.body), var=q.var, instance=first)
+            p = proofs.restructure(proofs.rule_for(side, "swap"), p, edge)
+            p = proofs.introduce(tag, (p,), (q.var, q.body), var=q.var, instance=second)
+            p = proofs.restructure(proofs.rule_for(side, "duplicate"), p, edge)
+            return proofs.move(p, side, edge, idx)
+
+        return proofs.backward(tag, s, idx, (Const(0), Const(1))), rebuild
+
+    eigen = next(fresh)
+
+    def rebuild(ps: list[Proof]) -> Proof:
+        (p,) = ps
+        p = proofs.introduce(tag, (p,), (q.var, q.body), eigen=eigen)
+        return proofs.move(p, side, edge, idx)
+
+    return proofs.backward(tag, s, idx, (Atom(eigen),)), rebuild
+
+
+def decompose(
+    s: Sequent, side: str, idx: int, fresh: Optional[Iterator[str]] = None
+) -> tuple[list[Sequent], Rebuild]:
+    """The premises and rebuild closure of the step at (side, idx).  A
+    quantifier step needs `fresh`, the search's eigenvariable supply."""
+    cedent = _cedent(s, side)
     if not (0 <= idx < len(cedent)):
         raise NotDecomposableError(f"no formula at {side} position {idx}")
     f = cedent[idx]
     if _top_connective(f):
         return connective_step(s, side, idx)
+    if _top_quantifier(f) and fresh is not None:
+        return quantifier_step(s, side, idx, fresh)
     if _r_with_nonconst(f) is not None:
         return oracle_step(s, side, idx)
     raise NotDecomposableError(f"formula at {side} {idx} is not decomposable")
@@ -259,36 +322,57 @@ def _base_proof(s: Sequent) -> Union[Proof, Structure]:
     return witness
 
 
-def _prove(s: Sequent, depth: int, tracker: dict) -> Union[Proof, Structure]:
+def _prove(s: Sequent, depth: int, tracker: dict) -> Union[Proof, Structure, str]:
+    """The one recursive search: a proof of `s`, a structure that
+    falsifies it, or UNKNOWN.  Premises are searched depth first, left to
+    right, and the first that is not proved ends the search."""
     tracker["depth"] = max(tracker["depth"], depth)
-    c = cost_sequent(s)
-    if c == 0:
-        return _base_proof(s)
-    target = choose_target(s)
-    _require(target is not None, "positive cost implies a decomposable formula")
-    side, idx = target
-    prems, rebuild = decompose(s, side, idx)
-    cedent = s.succedent if side == "succ" else s.antecedent
-    if isinstance(cedent[idx], RApp):
-        drops = [c - cost_sequent(p) for p in prems]
-        _require(drops == [1, 1], f"oracle step must drop cost by exactly 1, got {drops}")
-        tracker["r_steps"] += 1
+    if all(f.quantifier_free for f in s.formulas):
+        c = cost_sequent(s)
+        if c == 0:
+            return _base_proof(s)
+        target = choose_target(s)
+        _require(target is not None, "positive cost implies a decomposable formula")
+        prems, rebuild = decompose(s, *target)
+        if isinstance(_cedent(s, target[0])[target[1]], RApp):
+            drops = [c - cost_sequent(p) for p in prems]
+            _require(drops == [1, 1], f"oracle step must drop cost by exactly 1, got {drops}")
+    else:
+        target = _first(s, _top_quantifier) or _first(s, _top_connective)
+        if target is None:
+            # Quantifiers survive only inside R arguments; no rule reaches them.
+            return UNKNOWN
+        prems, rebuild = decompose(s, *target, tracker["fresh"])
+        _require(max(map(_measure, prems)) < _measure(s), "a step must shrink the measure")
     subproofs = []
     for prem in prems:
         sub = _prove(prem, depth + 1, tracker)
-        if isinstance(sub, Structure):
+        if not isinstance(sub, Proof):
             return sub
         subproofs.append(sub)
     return rebuild(subproofs)
 
 
+def _finished(s: Sequent, proof: Proof, check: Callable[[Proof], list], tracker: dict) -> ProverStats:
+    """The conclusion check and the one strict check of a finished proof
+    (its builders check nothing), then its statistics."""
+    _require(proof.conclusion == s, "proof concludes a different sequent")
+    errors = check(proof)
+    _require(not errors, f"finished proof fails the strict check: {errors[0] if errors else ''}")
+    return ProverStats(
+        counted_sequents=proofs.counted_size(proof),
+        max_line=proofs.max_line_length(proof),
+        cost_at_root=sum(f.cost for f in s.formulas),  # cost_sequent, if quantifier-free
+        recursion_depth=tracker["depth"],
+    )
+
+
 def prove(s: Sequent) -> ProveResult:
     """Prove a valid quantifier-free sequent, or report a falsifying
     structure.  Deterministic: identical input yields an identical tree."""
-    for f in s.formulas:
-        if not is_quantifier_free(f):
-            raise ValueError("prove expects a quantifier-free sequent")
-    tracker = {"depth": 0, "r_steps": 0}
+    if not all(f.quantifier_free for f in s.formulas):
+        raise ValueError("prove expects a quantifier-free sequent")
+    tracker = {"depth": 0}
     outcome = _prove(s, 0, tracker)
     if isinstance(outcome, Structure):
         _require(
@@ -296,14 +380,7 @@ def prove(s: Sequent) -> ProveResult:
             "countermodel does not falsify the sequent",
         )
         return ProveResult(None, None, outcome)
-    _require(outcome.conclusion == s, "proof concludes a different sequent")
-    _require_checked(proofs.check_pk(outcome))
-    stats = ProverStats(
-        counted_sequents=proofs.counted_size(outcome),
-        max_line=proofs.max_line_length(outcome),
-        cost_at_root=cost_sequent(s),
-        recursion_depth=tracker["depth"],
-    )
+    stats = _finished(s, outcome, proofs.check_pk, tracker)
     _require(
         stats.counted_sequents <= D_LINES * (1 << stats.cost_at_root),
         "proof exceeds d * 2^cost counted lines",

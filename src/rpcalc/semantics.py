@@ -44,6 +44,7 @@ from .formulas import (
     flatten_or,
     fold_assign,
     free_atoms,
+    fresh_names,
     is_quantifier_free,
     key_set,
     or_all,
@@ -267,20 +268,12 @@ def pull_universals(f: Formula) -> tuple[tuple[str, ...], Formula]:
     not free on the other side.  Raises UnsupportedShapeError if the
     remaining matrix is not quantifier-free.
     """
-    taken = set(all_names(f))
+    fresh = fresh_names("u", all_names(f))
     order: list[str] = []
-    counter = itertools.count()
-
-    def fresh() -> str:
-        while True:
-            name = f"u{next(counter)}"
-            if name not in taken:
-                taken.add(name)
-                return name
 
     def spine(g: Formula, env: dict[str, Formula]) -> Formula:
         if isinstance(g, Forall):
-            name = fresh()
+            name = next(fresh)
             order.append(name)
             return spine(g.body, {**env, g.var: Atom(name)})
         if isinstance(g, (And, Or)):
@@ -673,9 +666,10 @@ def holds_universally(
     for conjunct in flatten_and(matrix):
         conjunct_free = free_atoms(conjunct)
         support = [v for v in uvars if v in conjunct_free]
-        for constraint in _expand(conjunct, support, limits, counters, answers):
-            if _eval(constraint, {}, answers.get) == 0:
-                return False
+        # f is closed and answers every string, so each instance folds
+        # to a constant: the expansion is [] (all hold) or [FALSE]
+        if _expand(conjunct, support, limits, counters, answers):
+            return False
     return True
 
 

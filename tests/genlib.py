@@ -18,6 +18,7 @@ from rpcalc.formulas import (
     Sequent,
     cost_sequent,
     free_atoms,
+    node_count,
     walk,
 )
 from rpcalc.machines import MachineSpec, Transition
@@ -95,6 +96,24 @@ def random_ast(rng: random.Random, depth: int = 4, names=("p", "q", "x", "y", "z
     if roll < 0.92:
         return Exists(rng.choice(names), random_ast(rng, depth - 1, names))
     return Atom(rng.choice(names))
+
+
+def random_quantified_sequents(seed: int, count: int, max_nodes: int = 24) -> list[Sequent]:
+    """Seeded random sequents of random_ast formulas with at least one
+    quantifier and at most max_nodes nodes in all (gprove's work can grow
+    doubly exponentially in size).  gprove proves some, refutes some and
+    leaves the rest unknown (quantifiers under R)."""
+    rng = random.Random(seed)
+    out: list[Sequent] = []
+    while len(out) < count:
+        antecedent = tuple(random_ast(rng, depth=3) for _ in range(rng.randint(0, 2)))
+        succedent = tuple(random_ast(rng, depth=3) for _ in range(rng.randint(0, 2)))
+        s = Sequent(antecedent, succedent)
+        if not all(f.quantifier_free for f in s.formulas) and (
+            sum(node_count(f) for f in s.formulas) <= max_nodes
+        ):
+            out.append(s)
+    return out
 
 
 def naive_sat_flat(f: Formula):

@@ -1,7 +1,10 @@
-from genlib import QUANTIFIED_SUITE, brute_sat_q
+import hashlib
+import json
+
+from genlib import QUANTIFIED_SUITE, brute_sat_q, random_quantified_sequents
 from rpcalc.formulas import Atom, Not, foralls, sequent_free_atoms
 from rpcalc.gprover import NOT_VALID, PROVED, UNKNOWN, gprove
-from rpcalc.proofs import Proof, ax_id, check_g
+from rpcalc.proofs import Proof, ax_id, check_g, dump_proof
 from rpcalc.prover import prove
 from rpcalc.semantics import eval_formula, validity_formula
 from rpcalc.syntax import parse_formula, parse_sequent
@@ -106,6 +109,35 @@ def test_unknown_when_quantifier_hides_inside_r():
     s = Sequent((), (RApp((Forall("x", Atom("x")),)),))
     r = gprove(s)
     assert r.status == UNKNOWN
+
+
+def test_outcomes_are_byte_identical():
+    # every outcome, not only proofs: seeded random quantified sequents
+    # that gprove proves, refutes or leaves unknown, pinned down to the
+    # proof, the countermodel and the reason
+    digest = hashlib.sha256()
+    statuses = set()
+    for s in random_quantified_sequents(seed=909, count=300):
+        r = gprove(s)
+        statuses.add(r.status)
+        record = [
+            r.status,
+            dump_proof(r.proof) if r.proof else None,
+            r.counterexample.to_json() if r.counterexample else None,
+            r.reason,
+        ]
+        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    assert statuses == {PROVED, NOT_VALID, UNKNOWN}
+    assert digest.hexdigest() == "82331d382ec59a8415ec0722143bedc677d08ac94c6dc278b9390c2f9e08886b"
+
+
+def test_search_is_depth_first_left_to_right():
+    # the first premise of AndR is searched to the end before the second:
+    # a countermodel there ends the search, and so does an unknown
+    r = gprove(parse_sequent("|- p & R(all x. x)"))
+    assert r.status == NOT_VALID
+    assert r.counterexample.to_json() == {"atoms": {"p": 0}, "oracle": []}
+    assert gprove(parse_sequent("|- R(all x. x) & p")).status == UNKNOWN
 
 
 def test_depth_two_expansion_blowup_is_observable():
