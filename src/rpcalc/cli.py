@@ -140,11 +140,14 @@ def cmd_valid(args) -> int:
 
 def cmd_sat_pi1(args) -> int:
     formula = _single_formula(args.file)
-    limits = semantics.SolverLimits(
-        max_universal_vars=args.max_universal,
-        max_oracle_strings=args.max_strings,
-        max_structures=args.max_structures,
-    )
+    try:
+        limits = semantics.SolverLimits(
+            max_universal_vars=args.max_universal,
+            max_oracle_strings=args.max_strings,
+            max_structures=args.max_structures,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc))
     try:
         result = semantics.sat_pi1(formula, limits)
     except semantics.UnsupportedShapeError as exc:
@@ -276,11 +279,16 @@ def cmd_bench_size(args) -> int:
         raise CliError(f"bad --inputs list {args.inputs!r}")
     if not lengths:
         raise CliError("--inputs must list at least one length")
+    if min(lengths) < 0:
+        raise CliError(f"--inputs lengths must be non-negative, got {min(lengths)}")
     print("n\tlength\tratio")
     previous = None
     for n in lengths:
         x = "1" + "0" * (n - 1) if n else ""
-        formula = tableau.compile_machine(machine, x, n if n else 1)
+        try:
+            formula = tableau.compile_machine(machine, x, n if n else 1)
+        except (tableau.EncodingError, machines.MachineError) as exc:
+            raise CliError(str(exc))
         size = syntax.length(formula)
         ratio = f"{size / previous:.3f}" if previous else "-"
         print(f"{n}\t{size}\t{ratio}")
@@ -325,9 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sat-pi1", help="expansion solver for universally quantified formulas")
     p.add_argument("file")
-    p.add_argument("--max-universal", type=int, default=22)
-    p.add_argument("--max-strings", type=int, default=4096)
-    p.add_argument("--max-structures", type=int, default=1 << 20)
+    limits = semantics.DEFAULT_LIMITS
+    p.add_argument("--max-universal", type=int, default=limits.max_universal_vars)
+    p.add_argument("--max-strings", type=int, default=limits.max_oracle_strings)
+    p.add_argument("--max-structures", type=int, default=limits.max_structures)
     p.set_defaults(fn=cmd_sat_pi1)
 
     p = sub.add_parser("prove", help="prove a valid quantifier-free sequent")

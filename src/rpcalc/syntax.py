@@ -19,11 +19,15 @@ Any other character, non-ASCII ones included, is a ParseError.  The
 parser keeps its own operand and operator stacks, so it accepts nesting
 of any depth.
 
-The canonical printer emits minimal parentheses for the binary
-connectives and always parenthesizes quantified subformulas that occur
-under a connective.  length() counts the tokens of that canonical
-rendering (atoms, constants, connectives, quantifier keywords, bound
-variables, R, parentheses, commas and dots all count 1).
+The canonical printer makes one pass over the formula, on its own
+stack, and each node writes its text with fixed separators: "p & q",
+"p | q", "~p", "R(p, q)", "all x. p".  One rule, _wrapped, decides
+parentheses: a binary connective looser than its place, or a quantified
+subformula under `~`, `&` or `|` (anywhere but at the top of a formula,
+an R argument or a cedent).  length() counts the tokens of that
+canonical rendering (atoms, constants, connectives, quantifier keywords,
+bound variables, R, parentheses, commas and dots all count 1) from the
+same rule, without printing.
 """
 
 from __future__ import annotations
@@ -301,98 +305,69 @@ def iter_entries(text: str) -> list[tuple[int, str]]:
     return out
 
 
-_LVL_OR, _LVL_AND, _LVL_UNARY = 1, 2, 3
+def _wrapped(g: Formula, level: int) -> bool:
+    """Whether g printed where `level` binds takes parentheses: a
+    connective looser than the level, or a quantifier under anything.
+    Levels are the parser's binding strengths, and 0 is a place where
+    nothing can follow (the top, an R argument, a cedent)."""
+    kind = type(g)
+    if kind is And:
+        return level > AND
+    if kind is Or:
+        return level > OR
+    return level > 0 and (kind is Forall or kind is Exists)
 
 
-def _emit(f: Formula, ctx: int, out: list[str]) -> None:
-    # Explicit stack: deep conjunction chains and quantifier prefixes
-    # exceed the interpreter's recursion limit.
-    stack: list = [(f, ctx)]
+def _emit(f: Formula, out: list[str]) -> None:
+    """Append the text of f to out.  Each node writes its own separators;
+    the stack holds pending (formula, level) pairs and literal text.  It
+    is explicit because deep conjunction chains and quantifier prefixes
+    exceed the interpreter's recursion limit."""
+    stack: list = [(f, 0)]
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
+        if type(item) is str:
             out.append(item)
             continue
         g, level = item
-        if isinstance(g, Atom):
-            out.append(g.name)
-        elif isinstance(g, Const):
-            out.append(str(g.bit))
-        elif isinstance(g, RApp):
-            out.append("R")
+        if _wrapped(g, level):
             out.append("(")
-            tail: list = []
-            for i, a in enumerate(g.args):
-                if i:
-                    tail.append(",")
-                tail.append((a, 0))
-            tail.append(")")
-            stack.extend(reversed(tail))
-        elif isinstance(g, Not):
+            stack.append(")")
+        kind = type(g)
+        if kind is Atom:
+            out.append(g.name)
+        elif kind is Const:
+            out.append("1" if g.bit else "0")
+        elif kind is Not:
             out.append("~")
-            stack.append((g.child, _LVL_UNARY))
-        elif isinstance(g, (And, Or)):
-            lvl = _LVL_AND if isinstance(g, And) else _LVL_OR
-            op = "&" if isinstance(g, And) else "|"
-            wrap = level > lvl
-            if wrap:
-                out.append("(")
-            tail = [(g.left, lvl), op, (g.right, lvl + 1)]
-            if wrap:
-                tail.append(")")
-            stack.extend(reversed(tail))
-        else:  # Forall / Exists: parenthesize whenever anything could follow
-            wrap = level > 0
-            if wrap:
-                out.append("(")
-            out.append("all" if isinstance(g, Forall) else "ex")
-            out.append(g.var)
-            out.append(".")
-            tail = [(g.body, 0)]
-            if wrap:
-                tail.append(")")
-            stack.extend(reversed(tail))
-
-
-def formula_tokens(f: Formula) -> list[str]:
-    out: list[str] = []
-    _emit(f, 0, out)
-    return out
-
-
-def sequent_tokens(s: Sequent) -> list[str]:
-    out: list[str] = []
-    for i, f in enumerate(s.antecedent):
-        if i:
-            out.append(",")
-        _emit(f, 0, out)
-    out.append("|-")
-    for i, f in enumerate(s.succedent):
-        if i:
-            out.append(",")
-        _emit(f, 0, out)
-    return out
-
-
-def _join(tokens: list[str]) -> str:
-    parts: list[str] = []
-    for i, tok in enumerate(tokens):
-        if i:
-            prev = tokens[i - 1]
-            glue_left = tok in (")", ",", ".")
-            glue_right = prev in ("~", "(") or (prev == "R" and tok == "(")
-            if not glue_left and not glue_right:
-                parts.append(" ")
-        parts.append(tok)
-    return "".join(parts)
+            stack.append((g.child, NOT))
+        elif kind is And:
+            stack += ((g.right, NOT), " & ", (g.left, AND))
+        elif kind is Or:
+            stack += ((g.right, AND), " | ", (g.left, OR))
+        elif kind is RApp:
+            out.append("R(")
+            stack.append(")")
+            args = g.args
+            for i in range(len(args) - 1, 0, -1):
+                stack += ((args[i], 0), ", ")
+            if args:
+                stack.append((args[0], 0))
+        else:
+            out += ("all " if kind is Forall else "ex ", g.var, ". ")
+            stack.append((g.body, 0))
 
 
 def format_formula(f: Formula) -> str:
-    return _join(formula_tokens(f))
+    out: list[str] = []
+    _emit(f, out)
+    return "".join(out)
 
 
 def format_sequent(s: Sequent) -> str:
-    return _join(sequent_tokens(s))
+    ante = ", ".join(map(format_formula, s.antecedent))
+    succ = ", ".join(map(format_formula, s.succedent))
+    return f"{ante} |- {succ}".strip()  # an empty cedent leaves no space
 
 
 def format_entry(e: Union[Formula, Sequent]) -> str:
@@ -400,17 +375,8 @@ def format_entry(e: Union[Formula, Sequent]) -> str:
 
 
 def _length_at(g: Formula, level: int) -> int:
-    """Tokens of g printed where `level` binds: _emit's parentheses
-    around a connective looser than the level, or a quantifier under
-    anything, add two."""
-    kind = type(g)
-    if kind is And:
-        wrap = level > _LVL_AND
-    elif kind is Or:
-        wrap = level > _LVL_OR
-    else:
-        wrap = level > 0 and (kind is Forall or kind is Exists)
-    return g._length + 2 if wrap else g._length
+    """Tokens of g printed where `level` binds: parentheses add two."""
+    return g._length + 2 if _wrapped(g, level) else g._length
 
 
 def _token_count(g: Formula) -> int:
@@ -419,11 +385,11 @@ def _token_count(g: Formula) -> int:
     if kind is Atom or kind is Const:
         return 1
     if kind is Not:
-        return 1 + _length_at(g.child, _LVL_UNARY)
+        return 1 + _length_at(g.child, NOT)
     if kind is And:
-        return _length_at(g.left, _LVL_AND) + 1 + _length_at(g.right, _LVL_UNARY)
+        return _length_at(g.left, AND) + 1 + _length_at(g.right, NOT)
     if kind is Or:
-        return _length_at(g.left, _LVL_OR) + 1 + _length_at(g.right, _LVL_AND)
+        return _length_at(g.left, OR) + 1 + _length_at(g.right, AND)
     if kind is RApp:  # R ( args separated by commas )
         return 3 + sum([a._length for a in g.args]) + max(len(g.args) - 1, 0)
     return 3 + g.body._length  # all x . body

@@ -113,6 +113,33 @@ def test_sat_pi1_exit_codes(tmp_path, capsys):
     assert out.startswith("BUDGET_EXCEEDED")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sat-pi1", "F", "--max-universal", "0"],
+        ["sat-pi1", "F", "--max-strings", "-1"],
+        ["sat-pi1", "F", "--max-structures", "0"],
+        ["bench-size", "MACHINE", "--inputs", "-1"],
+        ["bench-size", "MACHINE", "--inputs", "2,-3"],
+        ["bench-size", "NO_BITS", "--inputs", "1"],
+    ],
+)
+def test_bad_limits_and_lengths_are_usage_errors(tmp_path, data_dir, argv):
+    f = tmp_path / "f.qpc"
+    f.write_text("all s. ~R(s)\n")
+    # a valid machine whose alphabet cannot hold a nonempty binary input
+    no_bits = tmp_path / "no_bits.json"
+    no_bits.write_text(json.dumps({
+        "accept": ["qacc"], "start": "q0", "states": ["q0", "qacc"], "tape_alphabet": ["_", ">"],
+        "transitions": [{"from": "q0", "move": "R", "read": ">", "to": "qacc", "write": ">"}],
+    }))
+    machine = str(data_dir / "machines" / "first1.json")
+    argv = [{"F": str(f), "MACHINE": machine, "NO_BITS": str(no_bits)}.get(a, a) for a in argv]
+    proc = run_module(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_prove_check_roundtrip(tmp_path, capsys):
     seq = tmp_path / "s.sq"
     seq.write_text("|- (R(p) & R(~p)) => (R(q) | R(~q))\n")

@@ -29,7 +29,7 @@ from rpcalc.proofs import (
 )
 from rpcalc.prover import prove
 from rpcalc.semantics import sequent_valid
-from rpcalc.syntax import parse_formula, parse_sequent, sequent_length, sequent_tokens
+from rpcalc.syntax import format_sequent, parse_formula, parse_sequent, sequent_length, tokenize
 
 
 def test_axioms_check():
@@ -95,10 +95,10 @@ def test_max_line_length():
 
 def walked_measures(p):
     """Counted lines and the longest printed conclusion, by walking
-    every node of the tree."""
+    every node of the tree and lexing each printed conclusion."""
     walked = [node for _, node in proofs.nodes(p)]
     counted = sum(1 for node in walked if node.rule not in proofs.UNCOUNTED_TAGS)
-    return counted, max(len(sequent_tokens(node.conclusion)) for node in walked)
+    return counted, max(len(tokenize(format_sequent(node.conclusion))[0]) - 1 for node in walked)
 
 
 @given(st.integers(0, 10_000))

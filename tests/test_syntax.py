@@ -12,6 +12,7 @@ from genlib import random_ast
 from rpcalc.formulas import And, Atom, Not, Or, RApp
 from rpcalc.syntax import (
     ParseError,
+    format_entry,
     format_formula,
     format_sequent,
     iter_entries,
@@ -83,6 +84,42 @@ def test_sequent_parsing():
     assert parse_sequent("|-") .antecedent == ()
     assert format_sequent(parse_sequent("p|-")) == "p |-"
     assert format_sequent(parse_sequent("|- p, q")) == "|- p, q"
+
+
+PRINTED = {
+    # quantifiers under ~, under & and |, and inside R(...)
+    "~ all x. x": "~(all x. x)",
+    "(ex x.x)&p": "(ex x. x) & p",
+    "(all x. x) | p": "(all x. x) | p",
+    "p & all x. x | p": "p & (all x. x | p)",
+    "p | (all x. x) | ex y. y": "p | (all x. x) | (ex y. y)",
+    "R(all x. x,p, ex y. y & p)": "R(all x. x, p, ex y. y & p)",
+    "all x. ex y. R(x, y)": "all x. ex y. R(x, y)",
+    # R() and ~~p
+    "R( )": "R()",
+    "~ ~p": "~~p",
+    "~(p & q)": "~(p & q)",
+    # right-nested & and |
+    "p & (q & r)": "p & (q & r)",
+    "p | (q | r)": "p | (q | r)",
+    "(p & q) & r": "p & q & r",
+    "(p | q) | r": "p | q | r",
+    "p | (q & r)": "p | q & r",
+    "(p | q) & r": "(p | q) & r",
+    # sequents with an empty antecedent, an empty succedent, or both
+    "|-p,q": "|- p, q",
+    "p,q|-": "p, q |-",
+    " |- ": "|-",
+    "p,all x. x|-q,(r)": "p, all x. x |- q, r",
+}
+
+
+def test_printed_text_is_pinned():
+    # the round-trip tests ignore spacing; this pins the exact text
+    for text, printed in PRINTED.items():
+        entry = parse_entry(text)
+        assert format_entry(entry) == printed, text
+        assert parse_entry(printed) == entry, text
 
 
 def test_entry_dispatch():
