@@ -2,9 +2,18 @@
 
 Exit codes are uniform across subcommands: 0 success or positive result,
 1 negative result (unsatisfiable, invalid, failed check), 2 usage or
-parse error, 3 budget exceeded.  Parsing accepts nesting of any depth,
-but some walks over the parsed formula still recurse: where one exceeds
-the recursion limit the command reports "input nested too deeply" and
+parse error, 3 budget exceeded.  `main` is the one place where an error
+becomes an exit code.  Every error the library raises for bad input
+(ParseError, MachineError, EncodingError, UnsupportedShapeError,
+ProofFormatError, UnassignedAtomError, CaptureError, the limit checks)
+subclasses ValueError, and the commands raise their own usage errors as
+ValueError too, so `main` reports any ValueError as one `error:` line
+and exit 2.  An internal fault such as ProverInvariantError is not a
+ValueError: it propagates with its traceback and is never reported as a
+usage error.  The helpers below only add context (a path, a line
+number) to a message.  Parsing accepts nesting of any depth, but some
+walks over the parsed formula still recurse: where one exceeds the
+recursion limit the command reports "input nested too deeply" and
 exits 2.  Outputs carry no timestamps; identical invocations produce
 byte-identical output.
 """
@@ -26,67 +35,56 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
-
-
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}")
 
 
-def _write(path: str, text: str) -> None:
+def _emit(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout when there is none."""
+    if not path:
+        print(text, end="")
+        return
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}")
+        raise ValueError(f"cannot write {path}: {exc}")
+
+
+def _load(path: str, parse, what: str = ""):
+    """parse(text of the file at path), its errors prefixed with the path."""
+    text = _read(path)
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {what}{exc}")
 
 
 def _parse_entries(path: str):
-    text = _read(path)
-    entries = syntax.iter_entries(text)
+    entries = syntax.iter_entries(_read(path))
     if not entries:
-        raise CliError(f"{path}: no formula or sequent found")
+        raise ValueError(f"{path}: no formula or sequent found")
     out = []
     for lineno, line in entries:
         try:
             out.append(syntax.parse_entry(line))
         except syntax.ParseError as exc:
-            raise CliError(f"{path}:{lineno}: {exc}")
+            raise ValueError(f"{path}:{lineno}: {exc}")
     return out
 
 
-def _single_formula(path: str):
+def _single(path: str, kind: str):
+    """The file's one entry; kind is "formula", "sequent" or "formula or sequent"."""
     entries = _parse_entries(path)
-    if len(entries) != 1 or isinstance(entries[0], Sequent):
-        raise CliError(f"{path}: expected exactly one formula")
+    if len(entries) != 1 or ("sequent" if isinstance(entries[0], Sequent) else "formula") not in kind:
+        raise ValueError(f"{path}: expected exactly one {kind}")
     return entries[0]
 
 
-def _single_sequent(path: str) -> Sequent:
-    entries = _parse_entries(path)
-    if len(entries) != 1 or not isinstance(entries[0], Sequent):
-        raise CliError(f"{path}: expected exactly one sequent")
-    return entries[0]
-
-
-def _load_structure(path: str) -> semantics.Structure:
-    try:
-        data = json.loads(_read(path))
-        return semantics.Structure.from_json(data)
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise CliError(f"{path}: bad structure file: {exc}")
-
-
-def _load_machine(path: str) -> machines.MachineSpec:
-    try:
-        return machines.load_machine(_read(path))
-    except machines.MachineError as exc:
-        raise CliError(f"{path}: {exc}")
+def _structure(text: str) -> semantics.Structure:
+    return semantics.Structure.from_json(json.loads(text))
 
 
 def cmd_parse(args) -> int:
@@ -96,19 +94,16 @@ def cmd_parse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    formula = _single_formula(args.file)
-    structure = _load_structure(args.structure)
-    try:
-        print(semantics.eval_formula(formula, structure))
-    except semantics.UnassignedAtomError as exc:
-        raise CliError(str(exc))
+    formula = _single(args.file, "formula")
+    structure = _load(args.structure, _structure, "bad structure file: ")
+    print(semantics.eval_formula(formula, structure))
     return EXIT_OK
 
 
 def cmd_sat(args) -> int:
-    formula = _single_formula(args.file)
+    formula = _single(args.file, "formula")
     if not is_quantifier_free(formula):
-        raise CliError("sat expects a quantifier-free formula (use sat-pi1)")
+        raise ValueError("sat expects a quantifier-free formula (use sat-pi1)")
     witness = semantics.sat_pc(formula)
     if witness is None:
         print("UNSAT")
@@ -119,16 +114,10 @@ def cmd_sat(args) -> int:
 
 
 def cmd_valid(args) -> int:
-    entries = _parse_entries(args.file)
-    if len(entries) != 1:
-        raise CliError(f"{args.file}: expected exactly one formula or sequent")
-    entry = entries[0]
-    if isinstance(entry, Sequent):
-        formula = semantics.validity_formula(entry)
-    else:
-        formula = entry
+    entry = _single(args.file, "formula or sequent")
+    formula = semantics.validity_formula(entry) if isinstance(entry, Sequent) else entry
     if not is_quantifier_free(formula):
-        raise CliError("valid expects quantifier-free input")
+        raise ValueError("valid expects quantifier-free input")
     witness = semantics.sat_pc(Not(formula))
     if witness is None:
         print("VALID")
@@ -139,19 +128,13 @@ def cmd_valid(args) -> int:
 
 
 def cmd_sat_pi1(args) -> int:
-    formula = _single_formula(args.file)
-    try:
-        limits = semantics.SolverLimits(
-            max_universal_vars=args.max_universal,
-            max_oracle_strings=args.max_strings,
-            max_structures=args.max_structures,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
-    try:
-        result = semantics.sat_pi1(formula, limits)
-    except semantics.UnsupportedShapeError as exc:
-        raise CliError(str(exc))
+    formula = _single(args.file, "formula")
+    limits = semantics.SolverLimits(
+        max_universal_vars=args.max_universal,
+        max_oracle_strings=args.max_strings,
+        max_structures=args.max_structures,
+    )
+    result = semantics.sat_pi1(formula, limits)
     if result.status == semantics.BUDGET_EXCEEDED:
         print(f"BUDGET_EXCEEDED {result.reason}")
         return EXIT_BUDGET
@@ -163,51 +146,35 @@ def cmd_sat_pi1(args) -> int:
     return EXIT_OK
 
 
-def _emit_proof(proof, stats, out_path, stats_path) -> None:
-    payload = proofs.dump_proof(proof)
-    if out_path:
-        _write(out_path, payload + "\n")
-    else:
-        print(payload)
-    stats_payload = json.dumps(stats.to_json(), indent=2, sort_keys=True)
-    if stats_path:
-        _write(stats_path, stats_payload + "\n")
-    else:
-        print(stats_payload)
+def _emit_proof(proof, stats, args) -> None:
+    _emit(args.out, proofs.dump_proof(proof) + "\n")
+    _emit(args.stats, json.dumps(stats.to_json(), indent=2, sort_keys=True) + "\n")
 
 
 def cmd_prove(args) -> int:
-    sequent = _single_sequent(args.file)
-    try:
-        result = prover.prove(sequent)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    result = prover.prove(_single(args.file, "sequent"))
     if not result.valid:
         print("INVALID")
         print(result.counterexample.dumps())
         return EXIT_NEGATIVE
-    _emit_proof(result.proof, result.stats, args.out, args.stats)
+    _emit_proof(result.proof, result.stats, args)
     return EXIT_OK
 
 
 def cmd_gprove(args) -> int:
-    sequent = _single_sequent(args.file)
-    result = gprover.gprove(sequent)
+    result = gprover.gprove(_single(args.file, "sequent"))
     if result.status == gprover.UNKNOWN:
-        raise CliError(result.reason)
+        raise ValueError(result.reason)
     if result.status == gprover.NOT_VALID:
         print("INVALID")
         print(result.counterexample.dumps())
         return EXIT_NEGATIVE
-    _emit_proof(result.proof, result.stats, args.out, args.stats)
+    _emit_proof(result.proof, result.stats, args)
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    try:
-        proof = proofs.load_proof(_read(args.file))
-    except proofs.ProofFormatError as exc:
-        raise CliError(f"{args.file}: {exc}")
+    proof = _load(args.file, proofs.load_proof)
     errors = proofs.check_g(proof) if args.quantified else proofs.check_pk(proof)
     if errors:
         for err in errors:
@@ -218,16 +185,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_compile_tm(args) -> int:
-    machine = _load_machine(args.machine)
-    try:
-        formula, info = tableau.compile_with_info(machine, args.input, args.time_exp)
-    except (tableau.EncodingError, machines.MachineError) as exc:
-        raise CliError(str(exc))
-    text = syntax.format_formula(formula) + "\n"
-    if args.out:
-        _write(args.out, text)
-    else:
-        print(text, end="")
+    machine = _load(args.machine, machines.load_machine)
+    formula, info = tableau.compile_with_info(machine, args.input, args.time_exp)
+    _emit(args.out, syntax.format_formula(formula) + "\n")
     summary = {
         "input": args.input,
         "time_exp": info.params.t,
@@ -242,11 +202,8 @@ def cmd_compile_tm(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    machine = _load_machine(args.machine)
-    try:
-        run = machines.simulate(machine, args.input, args.max_steps)
-    except machines.MachineError as exc:
-        raise CliError(str(exc))
+    machine = _load(args.machine, machines.load_machine)
+    run = machines.simulate(machine, args.input, args.max_steps)
     if run is None:
         print("none")
         return EXIT_NEGATIVE
@@ -258,38 +215,30 @@ def cmd_simulate(args) -> int:
 
 def cmd_family(args) -> int:
     if args.name not in families.FAMILIES:
-        raise CliError(f"unknown family {args.name!r} (available: {', '.join(sorted(families.FAMILIES))})")
-    try:
-        formula = families.FAMILIES[args.name](args.n)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    text = syntax.format_formula(formula) + "\n"
-    if args.out:
-        _write(args.out, text)
-    else:
-        print(text, end="")
+        raise ValueError(f"unknown family {args.name!r} (available: {', '.join(sorted(families.FAMILIES))})")
+    _emit(args.out, syntax.format_formula(families.FAMILIES[args.name](args.n)) + "\n")
     return EXIT_OK
 
 
 def cmd_bench_size(args) -> int:
-    machine = _load_machine(args.machine)
+    machine = _load(args.machine, machines.load_machine)
     try:
         lengths = [int(s) for s in args.inputs.split(",") if s]
     except ValueError:
-        raise CliError(f"bad --inputs list {args.inputs!r}")
+        raise ValueError(f"bad --inputs list {args.inputs!r}")
     if not lengths:
-        raise CliError("--inputs must list at least one length")
+        raise ValueError("--inputs must list at least one length")
     if min(lengths) < 0:
-        raise CliError(f"--inputs lengths must be non-negative, got {min(lengths)}")
+        raise ValueError(f"--inputs lengths must be non-negative, got {min(lengths)}")
+    # every length is compiled before the table starts, so an error
+    # leaves stdout empty
+    sizes = [
+        syntax.length(tableau.compile_machine(machine, "1" + "0" * (n - 1) if n else "", n or 1))
+        for n in lengths
+    ]
     print("n\tlength\tratio")
     previous = None
-    for n in lengths:
-        x = "1" + "0" * (n - 1) if n else ""
-        try:
-            formula = tableau.compile_machine(machine, x, n if n else 1)
-        except (tableau.EncodingError, machines.MachineError) as exc:
-            raise CliError(str(exc))
-        size = syntax.length(formula)
+    for n, size in zip(lengths, sizes):
         ratio = f"{size / previous:.3f}" if previous else "-"
         print(f"{n}\t{size}\t{ratio}")
         previous = size
@@ -388,9 +337,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_USAGE
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE

@@ -290,10 +290,6 @@ def iff(a: Formula, b: Formula) -> Formula:
     return And(implies(a, b), implies(b, a))
 
 
-def rapp(*args: Formula) -> RApp:
-    return RApp(tuple(args))
-
-
 def and_all(parts) -> Formula:
     """Left-associated conjunction; empty input yields 1."""
     parts = list(parts)

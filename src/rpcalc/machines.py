@@ -134,6 +134,8 @@ def load_machine(text: str) -> MachineSpec:
 
 
 def dump_machine(m: MachineSpec) -> str:
+    """Inverse of load_machine.  Nothing in the package writes machine
+    files; it is kept for the round-trip test of the file format."""
     return json.dumps(m.to_json(), indent=2, sort_keys=True)
 
 
@@ -241,6 +243,8 @@ def simulate(m: MachineSpec, x: str, max_steps: int) -> Optional[Run]:
     """Breadth-first nondeterministic search for an accepting run of at
     most max_steps steps; None if there is none."""
     start = initial_config(m, x)
+    if max_steps < 0:
+        raise MachineError(f"step bound must be non-negative, got {max_steps}")
     if start.state in m.accept_states:
         return Run((start,), ())
     queue = deque([(start, (start,), ())])

@@ -485,10 +485,6 @@ def exch_r(p: Proof, pos: int) -> Proof:
     return restructure("ExchR", p, pos)
 
 
-def contr_l(p: Proof, pos: int) -> Proof:
-    return restructure("ContrL", p, pos)
-
-
 def not_r(p: Proof) -> Proof:
     return introduce("NotR", (p,))
 
@@ -501,14 +497,6 @@ def cut(p1: Proof, p2: Proof) -> Proof:
     c1 = p1.conclusion
     a = c1.succedent[-1]
     return _mk(Sequent(c1.antecedent, c1.succedent[:-1]), "Cut", (p1, p2), formula=a)
-
-
-def all_l(p: Proof, var: str, body: Formula, instance: Formula) -> Proof:
-    return introduce("AllL", (p,), (var, body), var=var, instance=instance)
-
-
-def ex_r(p: Proof, var: str, body: Formula, instance: Formula) -> Proof:
-    return introduce("ExR", (p,), (var, body), var=var, instance=instance)
 
 
 def pad(p: Proof, side: str, target: tuple[Formula, ...], keep: list[int]) -> Proof:

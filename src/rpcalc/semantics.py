@@ -76,9 +76,9 @@ class Structure:
             if bit not in (0, 1):
                 raise ValueError(f"atom {name!r} must be 0 or 1, got {bit!r}")
         strings = frozenset(self.oracle)
-        for s in strings:
-            if any(ch not in "01" for ch in s):
-                raise ValueError(f"oracle strings must be over {{0,1}}, got {s!r}")
+        bad = [s for s in strings if s.strip("01")]
+        if bad:  # the least, so the message does not follow hash order
+            raise ValueError(f"oracle strings must be over {{0,1}}, got {min(bad)!r}")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "oracle", strings)
 
@@ -89,8 +89,17 @@ class Structure:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "Structure":
-        return cls(dict(data.get("atoms", {})), frozenset(data.get("oracle", ())))
+    def from_json(cls, data) -> "Structure":
+        """Inverse of to_json; ValueError on any other shape (JSON
+        true/false are not bits)."""
+        if not isinstance(data, dict):
+            raise ValueError("a structure must be a JSON object")
+        atoms, oracle = data.get("atoms", {}), data.get("oracle", [])
+        if not isinstance(atoms, dict) or any(type(bit) is not int for bit in atoms.values()):
+            raise ValueError("atoms must be an object of names to 0 or 1")
+        if not isinstance(oracle, list) or any(type(s) is not str for s in oracle):
+            raise ValueError("oracle must be a list of strings")
+        return cls(atoms, frozenset(oracle))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)

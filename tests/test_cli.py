@@ -17,10 +17,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv) -> subprocess.CompletedProcess:
+def run_module(*argv, **env_vars) -> subprocess.CompletedProcess:
     """`python -m rpcalc` in a fresh interpreter, for failures that a
     test process could not survive or that depend on its state."""
-    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""), **env_vars}
     return subprocess.run(
         [sys.executable, "-m", "rpcalc", *argv],
         capture_output=True,
@@ -28,6 +28,13 @@ def run_module(*argv) -> subprocess.CompletedProcess:
         env=env,
         timeout=120,
     )
+
+
+# a valid machine whose alphabet cannot hold a nonempty binary input
+NO_BITS_MACHINE = json.dumps({
+    "accept": ["qacc"], "start": "q0", "states": ["q0", "qacc"], "tape_alphabet": ["_", ">"],
+    "transitions": [{"from": "q0", "move": "R", "read": ">", "to": "qacc", "write": ">"}],
+})
 
 
 def test_parse_echoes_canonical(tmp_path, capsys):
@@ -122,22 +129,207 @@ def test_sat_pi1_exit_codes(tmp_path, capsys):
         ["bench-size", "MACHINE", "--inputs", "-1"],
         ["bench-size", "MACHINE", "--inputs", "2,-3"],
         ["bench-size", "NO_BITS", "--inputs", "1"],
+        ["bench-size", "NO_BITS", "--inputs", "0,1"],
     ],
 )
 def test_bad_limits_and_lengths_are_usage_errors(tmp_path, data_dir, argv):
     f = tmp_path / "f.qpc"
     f.write_text("all s. ~R(s)\n")
-    # a valid machine whose alphabet cannot hold a nonempty binary input
     no_bits = tmp_path / "no_bits.json"
-    no_bits.write_text(json.dumps({
-        "accept": ["qacc"], "start": "q0", "states": ["q0", "qacc"], "tape_alphabet": ["_", ">"],
-        "transitions": [{"from": "q0", "move": "R", "read": ">", "to": "qacc", "write": ">"}],
-    }))
+    no_bits.write_text(NO_BITS_MACHINE)
     machine = str(data_dir / "machines" / "first1.json")
     argv = [{"F": str(f), "MACHINE": machine, "NO_BITS": str(no_bits)}.get(a, a) for a in argv]
     proc = run_module(*argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    # all or nothing: no partial table before the error
+    assert proc.stdout == ""
+
+
+# Files for ERROR_TABLE, written under {d}.
+ERROR_FILES = {
+    "empty.pc": "",
+    "bad2.pc": "p\np &\n",
+    "p.pc": "p | q\n",
+    "two.pc": "p\nq\n",
+    "q.pc": "all x. R(x)\n",
+    "ex.qpc": "ex x. R(x)\n",
+    "s.sq": "p |- p\n",
+    "q.sq": "|- all x. R(x) | ~R(x)\n",
+    "unknown.sq": "|- R(all x. x)\n",
+    "bad.json": "{",
+    "list.json": "[1,2]",
+    "shape.json": '{"atoms": [], "oracle": 5}',
+    "oracle_ints.json": '{"oracle": [1]}',
+    "oracle_text.json": '{"oracle": "01"}',
+    "bool_bit.json": '{"atoms": {"p": true}}',
+    "bit2.json": '{"atoms": {"p": 2}}',
+    "no_p.json": '{"atoms": {"q": 1}}',
+    "proof.json": '{"rule": "X"}',
+    "machine.json": "{}",
+    "no_bits.json": NO_BITS_MACHINE,
+}
+
+_MISSING = "[Errno 2] No such file or directory"
+
+# id: (argv, exit code, stdout, stderr); {d} is the files' directory and
+# {m} the shipped first1 machine.  Every line is pinned exactly.
+ERROR_TABLE = {
+    "parse-unreadable": (
+        ["parse", "{d}/none.pc"], 2, "",
+        "error: cannot read {d}/none.pc: " + _MISSING + ": '{d}/none.pc'\n",
+    ),
+    "parse-empty": (["parse", "{d}/empty.pc"], 2, "", "error: {d}/empty.pc: no formula or sequent found\n"),
+    "parse-line": (
+        ["parse", "{d}/bad2.pc"], 2, "", "error: {d}/bad2.pc:2: 1:4: expected a formula, found 'end of input'\n",
+    ),
+    "eval-kind": (
+        ["eval", "{d}/s.sq", "--structure", "{d}/no_p.json"], 2, "", "error: {d}/s.sq: expected exactly one formula\n",
+    ),
+    "eval-unassigned": (
+        ["eval", "{d}/p.pc", "--structure", "{d}/no_p.json"], 2, "", "error: atom 'p' has no assigned value\n",
+    ),
+    "eval-json": (
+        ["eval", "{d}/p.pc", "--structure", "{d}/bad.json"], 2, "",
+        "error: {d}/bad.json: bad structure file: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)\n",
+    ),
+    "eval-bit": (
+        ["eval", "{d}/p.pc", "--structure", "{d}/bit2.json"], 2, "",
+        "error: {d}/bit2.json: bad structure file: atom 'p' must be 0 or 1, got 2\n",
+    ),
+    "eval-list": (
+        ["eval", "{d}/p.pc", "--structure", "{d}/list.json"], 2, "",
+        "error: {d}/list.json: bad structure file: a structure must be a JSON object\n",
+    ),
+    "eval-atoms-list": (
+        ["eval", "{d}/p.pc", "--structure", "{d}/shape.json"], 2, "",
+        "error: {d}/shape.json: bad structure file: atoms must be an object of names to 0 or 1\n",
+    ),
+    "eval-bool-bit": (
+        ["eval", "{d}/p.pc", "--structure", "{d}/bool_bit.json"], 2, "",
+        "error: {d}/bool_bit.json: bad structure file: atoms must be an object of names to 0 or 1\n",
+    ),
+    "eval-oracle-ints": (
+        ["eval", "{d}/p.pc", "--structure", "{d}/oracle_ints.json"], 2, "",
+        "error: {d}/oracle_ints.json: bad structure file: oracle must be a list of strings\n",
+    ),
+    "eval-oracle-text": (
+        ["eval", "{d}/p.pc", "--structure", "{d}/oracle_text.json"], 2, "",
+        "error: {d}/oracle_text.json: bad structure file: oracle must be a list of strings\n",
+    ),
+    "sat-quantified": (
+        ["sat", "{d}/q.pc"], 2, "", "error: sat expects a quantifier-free formula (use sat-pi1)\n",
+    ),
+    "sat-two": (["sat", "{d}/two.pc"], 2, "", "error: {d}/two.pc: expected exactly one formula\n"),
+    "valid-quantified": (["valid", "{d}/q.sq"], 2, "", "error: valid expects quantifier-free input\n"),
+    "valid-two": (["valid", "{d}/two.pc"], 2, "", "error: {d}/two.pc: expected exactly one formula or sequent\n"),
+    "sat-pi1-kind": (["sat-pi1", "{d}/s.sq"], 2, "", "error: {d}/s.sq: expected exactly one formula\n"),
+    "sat-pi1-limits": (
+        ["sat-pi1", "{d}/q.pc", "--max-universal", "0"], 2, "", "error: solver limits must be positive\n",
+    ),
+    "sat-pi1-shape": (
+        ["sat-pi1", "{d}/ex.qpc"], 2, "",
+        "error: matrix is not quantifier-free; only pi1-shaped inputs are supported\n",
+    ),
+    "prove-kind": (["prove", "{d}/p.pc"], 2, "", "error: {d}/p.pc: expected exactly one sequent\n"),
+    "prove-quantified": (["prove", "{d}/q.sq"], 2, "", "error: prove expects a quantifier-free sequent\n"),
+    "prove-unwritable": (
+        ["prove", "{d}/s.sq", "--out", "{d}/no/out"], 2, "",
+        "error: cannot write {d}/no/out: " + _MISSING + ": '{d}/no/out'\n",
+    ),
+    "prove-unwritable-stats": (
+        ["prove", "{d}/s.sq", "--stats", "{d}/no/out"], 2,
+        '{"conclusion":"p |- p","params":{},"premises":[],"rule":"AxId"}\n',
+        "error: cannot write {d}/no/out: " + _MISSING + ": '{d}/no/out'\n",
+    ),
+    "gprove-unknown": (
+        ["gprove", "{d}/unknown.sq"], 2, "",
+        "error: quantifiers inside R arguments cannot be reduced by the quantifier rules\n",
+    ),
+    "check-json": (
+        ["check", "{d}/bad.json"], 2, "",
+        "error: {d}/bad.json: not valid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)\n",
+    ),
+    "check-malformed": (["check", "{d}/proof.json"], 2, "", "error: {d}/proof.json: missing field 'conclusion'\n"),
+    "check-list": (["check", "{d}/list.json"], 2, "", "error: {d}/list.json: proof node must be an object\n"),
+    "compile-tm-malformed": (
+        ["compile-tm", "{d}/machine.json", "--input", "1"], 2, "",
+        "error: {d}/machine.json: malformed machine description: 'transitions'\n",
+    ),
+    "compile-tm-input": (["compile-tm", "{m}", "--input", "2"], 2, "", "error: input must be binary, got '2'\n"),
+    "compile-tm-time-exp": (
+        ["compile-tm", "{m}", "--input", "10", "--time-exp", "0"], 2, "",
+        "error: time exponent must be at least 1\n",
+    ),
+    "compile-tm-unwritable": (
+        ["compile-tm", "{m}", "--input", "1", "--time-exp", "1", "--out", "{d}/no/out"], 2, "",
+        "error: cannot write {d}/no/out: " + _MISSING + ": '{d}/no/out'\n",
+    ),
+    "simulate-input": (
+        ["simulate", "{m}", "--input", "2", "--max-steps", "3"], 2, "", "error: input must be binary, got '2'\n",
+    ),
+    "simulate-steps": (
+        ["simulate", "{m}", "--input", "1", "--max-steps", "-1"], 2, "",
+        "error: step bound must be non-negative, got -1\n",
+    ),
+    "simulate-json": (
+        ["simulate", "{d}/bad.json", "--input", "1", "--max-steps", "3"], 2, "",
+        "error: {d}/bad.json: not valid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)\n",
+    ),
+    "family-unknown": (["family", "iter", "--n", "2"], 2, "", "error: unknown family 'iter' (available: wphp)\n"),
+    "family-n": (["family", "wphp", "--n", "0"], 2, "", "error: need n >= 1\n"),
+    "family-unwritable": (
+        ["family", "wphp", "--n", "1", "--out", "{d}/no/out"], 2, "",
+        "error: cannot write {d}/no/out: " + _MISSING + ": '{d}/no/out'\n",
+    ),
+    "bench-size-inputs": (["bench-size", "{m}", "--inputs", "abc"], 2, "", "error: bad --inputs list 'abc'\n"),
+    "bench-size-no-bits": (
+        ["bench-size", "{d}/no_bits.json", "--inputs", "0,1"], 2, "",
+        "error: machine alphabet must contain '0' and '1' for nonempty inputs\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_TABLE))
+def test_error_table(tmp_path, capsys, data_dir, case):
+    for name, text in ERROR_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv, code, stdout, stderr = ERROR_TABLE[case]
+    machine = str(data_dir / "machines" / "first1.json")
+
+    def fill(text):
+        return text.replace("{d}", str(tmp_path)).replace("{m}", machine)
+
+    assert run_cli(capsys, *map(fill, argv)) == (code, stdout, fill(stderr))
+
+
+def test_internal_fault_is_not_a_usage_error(tmp_path, monkeypatch):
+    from rpcalc import prover
+
+    def broken(sequent):
+        raise prover.ProverInvariantError("broken")
+
+    monkeypatch.setattr(prover, "prove", broken)
+    f = tmp_path / "s.sq"
+    f.write_text("p |- p\n")
+    with pytest.raises(prover.ProverInvariantError):
+        main(["prove", str(f)])
+
+
+def test_structure_error_is_the_same_under_any_hash_seed(tmp_path):
+    # the first bad oracle string is reported in sorted order, not in
+    # the frozenset's hash order
+    structure = tmp_path / "s.json"
+    structure.write_text('{"oracle": ["2", "a", "b", "c", "x", "y", "z"]}')
+    f = tmp_path / "p.pc"
+    f.write_text("p\n")
+    for seed in ("0", "1"):
+        proc = run_module("eval", str(f), "--structure", str(structure), PYTHONHASHSEED=seed)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {structure}: bad structure file: oracle strings must be over {{0,1}}, got '2'\n"
 
 
 def test_prove_check_roundtrip(tmp_path, capsys):

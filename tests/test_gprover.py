@@ -34,9 +34,9 @@ def test_single_exr_node_with_constant_instance():
 
     body = Or(FAtom("x"), FNot(FAtom("x")))
     premise = prover.prove(parse_sequent("|- 0 | ~0")).proof
-    from rpcalc.proofs import ex_r
+    from rpcalc.proofs import introduce
 
-    node = ex_r(premise, "x", body, Const(0))
+    node = introduce("ExR", (premise,), ("x", body), var="x", instance=Const(0))
     assert node.conclusion == parse_sequent("|- ex x. x | ~x")
     assert check_g(node) == []
 

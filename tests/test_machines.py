@@ -73,6 +73,9 @@ def test_simulation_respects_step_budget():
     m = normalize_machine(first_symbol_one_machine())
     assert simulate(m, "10", 2) is None
     assert simulate(m, "10", 3) is not None
+    assert simulate(m, "1", 0) is None
+    with pytest.raises(MachineError, match="non-negative"):
+        simulate(m, "1", -1)
 
 
 def test_nondeterministic_branches():

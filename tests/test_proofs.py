@@ -17,7 +17,6 @@ from rpcalc.proofs import (
     ax_true,
     check_g,
     check_pk,
-    contr_l,
     counted_size,
     derive_scheme,
     dump_proof,
@@ -84,7 +83,7 @@ def test_counted_size_excludes_weakening_and_exchange():
     p = proofs.exch_l(p, 0)
     assert counted_size(p) == 1
     dup = weak_l(ax_id(Atom("p")), Atom("p"), 0)  # p, p |- p
-    contracted = contr_l(dup, 0)
+    contracted = proofs.restructure("ContrL", dup, 0)
     assert counted_size(contracted) == 2
 
 
@@ -165,7 +164,7 @@ def test_scheme_instances_are_valid_sequents():
 def test_quantifier_rules_rejected_by_pk_checker():
     body = RApp((Atom("x"),))
     prem = ax_id(RApp((Const(0),)))
-    node = proofs.all_l(prem, "x", body, Const(0))
+    node = proofs.introduce("AllL", (prem,), ("x", body), var="x", instance=Const(0))
     assert any("quantifier" in e.message for e in check_pk(node))
     assert not any(e.rule == "AllL" and "quantifier rule" in e.message for e in check_g(node))
 
@@ -241,7 +240,7 @@ def test_json_rejects_garbage():
 def test_quantifier_rule_json_params():
     body = RApp((Atom("x"),))
     prem = ax_id(RApp((Const(0),)))
-    node = proofs.all_l(prem, "x", body, Const(0))
+    node = proofs.introduce("AllL", (prem,), ("x", body), var="x", instance=Const(0))
     data = proofs.proof_to_json(node)
     assert data["params"] == {"instance": "0", "var": "x"}
     assert proofs.proof_from_json(data) == node

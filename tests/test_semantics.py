@@ -67,6 +67,16 @@ def test_structure_validation():
         Structure({}, frozenset({"01x"}))
 
 
+@pytest.mark.parametrize(
+    "data",
+    [[1, 2], "01", {"atoms": []}, {"atoms": {"p": True}}, {"atoms": {"p": 1.0}}, {"atoms": None},
+     {"oracle": 5}, {"oracle": "01"}, {"oracle": [1]}, {"oracle": ["1", None]}],
+)
+def test_structure_from_json_rejects_other_shapes(data):
+    with pytest.raises(ValueError):
+        Structure.from_json(data)
+
+
 def test_sat_example_with_exact_witness():
     w = sat_pc(parse_formula("R(p) & ~R(1)"))
     assert w == Structure({"p": 0}, frozenset({"0"}))
