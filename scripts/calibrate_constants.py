@@ -3,7 +3,9 @@
 
 Prints the observed maxima behind the published values in
 rpcalc.constants: the proof-line factor d, the line-length factor e,
-the per-scheme counted sizes, and the decoder gate factor.
+the per-scheme counted sizes, and the decoder gate factor.  Exits 1,
+with a message, when a proof fails to check or an observed value
+exceeds its published constant.
 
 Usage: python scripts/calibrate_constants.py [--seed N] [--sequents N]
 """
@@ -30,18 +32,25 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--sequents", type=int, default=150)
     args = parser.parse_args()
+    failures = []
 
     suite = generate_valid_sequents(seed=args.seed, count=args.sequents, max_cost=10)
     worst_d = 0.0
     worst_e = 0.0
     for s in suite:
         r = prove(s)
-        assert r.valid and check_pk(r.proof) == []
+        if not r.valid or check_pk(r.proof):
+            print(f"error: no checked proof of the valid sequent {s}", file=sys.stderr)
+            return 1
         c = cost_sequent(s)
         worst_d = max(worst_d, r.stats.counted_sequents / (1 << c))
         worst_e = max(worst_e, r.stats.max_line / sequent_length(s))
     print(f"proof lines / 2^cost : observed max {worst_d:.3f}  published d = {D_LINES}")
     print(f"line length / |S|    : observed max {worst_e:.3f}  published e = {E_LINE_FACTOR}")
+    if worst_d > D_LINES:
+        failures.append(f"proof lines / 2^cost reach {worst_d:.3f}, above d = {D_LINES}")
+    if worst_e > E_LINE_FACTOR:
+        failures.append(f"line length / |S| reaches {worst_e:.3f}, above e = {E_LINE_FACTOR}")
 
     rng = random.Random(args.seed)
     for which in ("E1", "E2", "E3", "E4"):
@@ -49,12 +58,19 @@ def main() -> int:
             counted_size(derive_scheme(which, random_flat_formula(rng, depth=d)))
             for d in (0, 1, 2, 3, 4)
         }
-        assert sizes == {K_E[which]}
-        print(f"scheme {which} counted size : {sizes.pop()}  published {K_E[which]}")
+        shown = ", ".join(map(str, sorted(sizes)))
+        print(f"scheme {which} counted size : {shown}  published {K_E[which]}")
+        if sizes != {K_E[which]}:
+            failures.append(f"scheme {which} counted sizes {shown}, published {K_E[which]}")
 
     worst_alpha = max(decoder_circuit(n).gate_count / n for n in range(1, 1025))
     print(f"decoder gates / n    : observed max {worst_alpha:.3f}  published c_alpha = {C_ALPHA}")
-    return 0
+    if worst_alpha > C_ALPHA:
+        failures.append(f"decoder gates / n reach {worst_alpha:.3f}, above c_alpha = {C_ALPHA}")
+
+    for failure in failures:
+        print(f"error: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

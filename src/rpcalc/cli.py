@@ -147,6 +147,11 @@ def cmd_sat_pi1(args) -> int:
 
 
 def _emit_proof(proof, stats, args) -> None:
+    """Write the proof and its statistics.  Both files are created before
+    either is written, so one that cannot be written leaves no proof
+    behind (the empty text writes nothing to stdout)."""
+    for path in (args.out, args.stats):
+        _emit(path, "")
     _emit(args.out, proofs.dump_proof(proof) + "\n")
     _emit(args.stats, json.dumps(stats.to_json(), indent=2, sort_keys=True) + "\n")
 

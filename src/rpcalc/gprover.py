@@ -44,7 +44,7 @@ def gprove(s: Sequent) -> GProveResult:
     # eigenvariables y0, y1, ... skip every name in the input
     taken = set().union(*map(all_names, s.formulas))
     tracker = {"depth": 0, "fresh": fresh_names("y", taken)}
-    outcome = prover._prove(s, 0, tracker)
+    outcome = prover._prove(s, 0, tracker, False)
     if outcome == UNKNOWN:
         return GProveResult(
             UNKNOWN,

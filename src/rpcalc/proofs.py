@@ -499,20 +499,18 @@ def cut(p1: Proof, p2: Proof) -> Proof:
     return _mk(Sequent(c1.antecedent, c1.succedent[:-1]), "Cut", (p1, p2), formula=a)
 
 
-def pad(p: Proof, side: str, target: tuple[Formula, ...], keep: list[int]) -> Proof:
-    """Weaken until the cedent on `side` ("ante" or "succ") equals
-    `target`; `keep` gives, in order, the target positions of the
-    formulas already present."""
-    weaken = rule_for(side, "insert")
-    placed = sorted(keep)
-    keep_set = set(keep)
-    for ti, f in enumerate(target):
-        if ti in keep_set:
-            continue
-        pos = sum(1 for existing in placed if existing < ti)
-        p = restructure(weaken, p, pos, f)
-        placed.append(ti)
-        placed.sort()
+def pad(p: Proof, target: Sequent, keep_ante: list[int], keep_succ: list[int]) -> Proof:
+    """Weaken until the conclusion equals `target`, antecedent first.
+    `keep_ante` and `keep_succ` give the target positions of the formulas
+    already present, in their order.  Each missing formula goes in at its
+    own target index: they go in by ascending index, so every earlier
+    position is already filled."""
+    for side, keep in (("ante", keep_ante), ("succ", keep_succ)):
+        weaken = rule_for(side, "insert")
+        kept = set(keep)
+        for ti, f in enumerate(_cedents(target, side)[0]):
+            if ti not in kept:
+                p = restructure(weaken, p, ti, f)
     return p
 
 

@@ -185,14 +185,13 @@ def oracle_step(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Rebuild
             e4 = proofs.derive_scheme("E4", a, before, after)
             # Left: cut the 1-instance against E2.
             prem_a = proofs.weak_r(rec1, r_a, len(delta))
-            prem_b = proofs.exch_l(e2, 0)  # R1, A |- RA
-            prem_b = proofs.pad(prem_b, "ante", (r_one, a) + gamma, [0, 1])
-            prem_b = proofs.pad(prem_b, "succ", delta + (r_a,), [len(delta)])
+            goal = Sequent((r_one, a) + gamma, delta + (r_a,))
+            prem_b = proofs.pad(proofs.exch_l(e2, 0), goal, [0, 1], [len(delta)])  # from R1, A |- RA
             left = proofs.cut(prem_a, prem_b)  # A, Gamma |- Delta, RA
             # Right: cut the 0-instance against E4.
             prem_a = proofs.weak_r(rec2, r_a, len(delta) + 1)
-            prem_b = proofs.pad(e4, "ante", (r_zero,) + gamma, [0])
-            prem_b = proofs.pad(prem_b, "succ", delta + (a, r_a), [len(delta), len(delta) + 1])
+            goal = Sequent((r_zero,) + gamma, delta + (a, r_a))
+            prem_b = proofs.pad(e4, goal, [0], [len(delta), len(delta) + 1])
             right = proofs.cut(prem_a, prem_b)  # Gamma |- Delta, A, RA
             # Cut on A.
             final = proofs.cut(proofs.exch_r(right, len(delta)), left)
@@ -210,8 +209,8 @@ def oracle_step(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Rebuild
         e1 = proofs.derive_scheme("E1", a, before, after)
         e3 = proofs.derive_scheme("E3", a, before, after)
         # Left: cut the 1-instance against E1.
-        prem_a = proofs.pad(e1, "ante", (a, r_a) + gamma, [0, 1])
-        prem_a = proofs.pad(prem_a, "succ", delta + (r_one,), [len(delta)])
+        goal = Sequent((a, r_a) + gamma, delta + (r_one,))
+        prem_a = proofs.pad(e1, goal, [0, 1], [len(delta)])
         prem_b = proofs.weak_l(proofs.exch_l(rec1, 0), r_a, 2)
         _require(
             prem_b.conclusion.antecedent == (r_one, a, r_a) + gamma,
@@ -219,8 +218,8 @@ def oracle_step(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Rebuild
         )
         left = proofs.cut(prem_a, prem_b)  # A, RA, Gamma |- Delta
         # Right: cut the 0-instance against E3.
-        prem_a = proofs.pad(e3, "ante", (r_a,) + gamma, [0])
-        prem_a = proofs.pad(prem_a, "succ", delta + (a, r_zero), [len(delta), len(delta) + 1])
+        goal = Sequent((r_a,) + gamma, delta + (a, r_zero))
+        prem_a = proofs.pad(e3, goal, [0], [len(delta), len(delta) + 1])
         prem_b = proofs.weak_l(rec2, r_a, 1)
         right = proofs.cut(prem_a, prem_b)  # RA, Gamma |- Delta, A
         final = proofs.cut(right, left)
@@ -301,19 +300,13 @@ def _base_counterexample(s: Sequent) -> Structure:
 
 def _base_proof(s: Sequent) -> Union[Proof, Structure]:
     if Const(1) in s.succedent:
-        idx = s.succedent.index(Const(1))
-        p = proofs.pad(proofs.ax_true(), "ante", s.antecedent, [])
-        return proofs.pad(p, "succ", s.succedent, [idx])
+        return proofs.pad(proofs.ax_true(), s, [], [s.succedent.index(Const(1))])
     if Const(0) in s.antecedent:
-        idx = s.antecedent.index(Const(0))
-        p = proofs.pad(proofs.ax_false(), "ante", s.antecedent, [idx])
-        return proofs.pad(p, "succ", s.succedent, [])
+        return proofs.pad(proofs.ax_false(), s, [s.antecedent.index(Const(0))], [])
     common = [f for f in s.antecedent if f in s.succedent]
     if common:
         f = common[0]
-        p = proofs.ax_id(f)
-        p = proofs.pad(p, "ante", s.antecedent, [s.antecedent.index(f)])
-        return proofs.pad(p, "succ", s.succedent, [s.succedent.index(f)])
+        return proofs.pad(proofs.ax_id(f), s, [s.antecedent.index(f)], [s.succedent.index(f)])
     witness = _base_counterexample(s)
     _require(
         eval_formula(validity_formula(s), witness) == 0,
@@ -322,19 +315,25 @@ def _base_proof(s: Sequent) -> Union[Proof, Structure]:
     return witness
 
 
-def _prove(s: Sequent, depth: int, tracker: dict) -> Union[Proof, Structure, str]:
+def _prove(s: Sequent, depth: int, tracker: dict, qfree: bool) -> Union[Proof, Structure, str]:
     """The one recursive search: a proof of `s`, a structure that
     falsifies it, or UNKNOWN.  Premises are searched depth first, left to
-    right, and the first that is not proved ends the search."""
+    right, and the first that is not proved ends the search.
+
+    `qfree` says `s` is known to be quantifier-free; the premises of a
+    quantifier-free sequent are too, so a branch tests it only until it
+    holds.  The base case is taken where `choose_target` finds nothing,
+    and the sequent cost is computed only there and at oracle steps."""
     tracker["depth"] = max(tracker["depth"], depth)
-    if all(f.quantifier_free for f in s.formulas):
-        c = cost_sequent(s)
-        if c == 0:
-            return _base_proof(s)
+    qfree = qfree or all(f.quantifier_free for f in s.formulas)
+    if qfree:
         target = choose_target(s)
-        _require(target is not None, "positive cost implies a decomposable formula")
+        if target is None:
+            _require(cost_sequent(s) == 0, "a sequent with no decomposable formula must have cost 0")
+            return _base_proof(s)
         prems, rebuild = decompose(s, *target)
         if isinstance(_cedent(s, target[0])[target[1]], RApp):
+            c = cost_sequent(s)
             drops = [c - cost_sequent(p) for p in prems]
             _require(drops == [1, 1], f"oracle step must drop cost by exactly 1, got {drops}")
     else:
@@ -346,7 +345,7 @@ def _prove(s: Sequent, depth: int, tracker: dict) -> Union[Proof, Structure, str
         _require(max(map(_measure, prems)) < _measure(s), "a step must shrink the measure")
     subproofs = []
     for prem in prems:
-        sub = _prove(prem, depth + 1, tracker)
+        sub = _prove(prem, depth + 1, tracker, qfree)
         if not isinstance(sub, Proof):
             return sub
         subproofs.append(sub)
@@ -373,7 +372,7 @@ def prove(s: Sequent) -> ProveResult:
     if not all(f.quantifier_free for f in s.formulas):
         raise ValueError("prove expects a quantifier-free sequent")
     tracker = {"depth": 0}
-    outcome = _prove(s, 0, tracker)
+    outcome = _prove(s, 0, tracker, True)
     if isinstance(outcome, Structure):
         _require(
             eval_formula(validity_formula(s), outcome) == 0,

@@ -73,7 +73,7 @@ class Structure:
     def __post_init__(self) -> None:
         atoms = dict(self.atoms)
         for name, bit in atoms.items():
-            if bit not in (0, 1):
+            if type(bit) is not int or bit not in (0, 1):
                 raise ValueError(f"atom {name!r} must be 0 or 1, got {bit!r}")
         strings = frozenset(self.oracle)
         bad = [s for s in strings if s.strip("01")]
@@ -151,19 +151,6 @@ def _eval(f: Formula, env: dict[str, int], oracle_fn: Callable[[str], int]) -> i
 def eval_formula(f: Formula, structure: Structure) -> int:
     oracle = structure.oracle
     return _eval(f, dict(structure.atoms), lambda s: 1 if s in oracle else 0)
-
-
-def eval_recording(f: Formula, structure: Structure) -> tuple[int, frozenset[str]]:
-    """Evaluate and report the oracle strings actually queried."""
-    queried: set[str] = set()
-    oracle = structure.oracle
-
-    def lookup(s: str) -> int:
-        queried.add(s)
-        return 1 if s in oracle else 0
-
-    value = _eval(f, dict(structure.atoms), lookup)
-    return value, frozenset(queried)
 
 
 def sat_pc(f: Formula) -> Optional[Structure]:

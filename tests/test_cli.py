@@ -239,8 +239,7 @@ ERROR_TABLE = {
         "error: cannot write {d}/no/out: " + _MISSING + ": '{d}/no/out'\n",
     ),
     "prove-unwritable-stats": (
-        ["prove", "{d}/s.sq", "--stats", "{d}/no/out"], 2,
-        '{"conclusion":"p |- p","params":{},"premises":[],"rule":"AxId"}\n',
+        ["prove", "{d}/s.sq", "--stats", "{d}/no/out"], 2, "",
         "error: cannot write {d}/no/out: " + _MISSING + ": '{d}/no/out'\n",
     ),
     "gprove-unknown": (
@@ -345,6 +344,17 @@ def test_prove_check_roundtrip(tmp_path, capsys):
 
     code, out, _ = run_cli(capsys, "check", str(proof))
     assert code == 0 and out.strip() == "OK"
+
+
+def test_unwritable_stats_leaves_no_proof_in_out(tmp_path, capsys):
+    seq = tmp_path / "s.sq"
+    seq.write_text("p |- p\n")
+    proof = tmp_path / "proof.json"
+    stats = tmp_path / "no" / "out"
+    code, out, err = run_cli(capsys, "prove", str(seq), "--out", str(proof), "--stats", str(stats))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {stats}: ")
+    assert proof.read_text() == ""
 
 
 def test_prove_invalid(tmp_path, capsys):

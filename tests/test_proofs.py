@@ -115,6 +115,37 @@ def test_proof_measures_match_node_walks(seed):
     assert (broken.counted, broken.max_line) == walked_measures(broken)
 
 
+def reference_pad(p, side, target, keep):
+    """One cedent's weakenings as `pad` once placed them: each position
+    counted over a sorted list of the positions filled so far."""
+    weaken = proofs.rule_for(side, "insert")
+    placed = sorted(keep)
+    for ti, f in enumerate(target):
+        if ti in keep:
+            continue
+        p = proofs.restructure(weaken, p, sum(1 for existing in placed if existing < ti), f)
+        placed.append(ti)
+        placed.sort()
+    return p
+
+
+def test_pad_matches_the_counting_reference():
+    rng = random.Random(62)
+    for _ in range(300):
+        ante, succ = (
+            tuple(random_flat_formula(rng, depth=1) for _ in range(rng.randint(0, 6))) for _ in range(2)
+        )
+        keep_ante, keep_succ = (
+            sorted(rng.sample(range(len(cedent)), rng.randint(0, len(cedent)))) for cedent in (ante, succ)
+        )
+        kept = Sequent(tuple(ante[i] for i in keep_ante), tuple(succ[i] for i in keep_succ))
+        start = Proof(kept, "AxId", (), ())
+        expected = reference_pad(reference_pad(start, "ante", ante, keep_ante), "succ", succ, keep_succ)
+        padded = proofs.pad(start, Sequent(ante, succ), keep_ante, keep_succ)
+        assert padded.conclusion == Sequent(ante, succ)
+        assert padded == expected
+
+
 def test_scheme_conclusions_and_sizes():
     a = parse_formula("p")
     expect = {

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from genlib import QUANTIFIED_SUITE, generate_valid_sequents, random_flat_formula
+from rpcalc import prover
 from rpcalc.gprover import gprove
 from rpcalc.constants import D_LINES, E_LINE_FACTOR
 from rpcalc.formulas import RApp, Sequent, cost_sequent
@@ -89,6 +90,22 @@ def test_connective_premises_strictly_cheaper():
                     assert drops == [total - 1, total - 1]
                 else:
                     assert all(d < total for d in drops)
+
+
+def test_prove_reads_the_sequent_cost_only_where_a_check_needs_it(monkeypatch):
+    # a conjunction has no oracle step and its proof one leaf, so the
+    # leaf's cost-0 check is the one reader of the sequent cost
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return cost_sequent(s)
+
+    monkeypatch.setattr(prover, "cost_sequent", counting)
+    r = prove(parse_sequent(" & ".join(["p"] * 2000) + " |- p"))
+    assert r.valid
+    assert r.stats.counted_sequents == 2000
+    assert len(calls) == 1
 
 
 def test_determinism():
@@ -205,6 +222,13 @@ proofs.Proof = shifted
             "|- (all x. x | ~x), r",
             "finished proof fails the strict check: [root] ExchR: bad position 1",
             id="gprover.gprove-wrong pos",
+        ),
+        pytest.param(
+            "prover.choose_target = lambda s: None",
+            "prover.prove",
+            "|- p & q",
+            "a sequent with no decomposable formula must have cost 0",
+            id="prover.prove-no target at positive cost",
         ),
     ],
 )

@@ -9,8 +9,8 @@ from rpcalc.semantics import (
     EMPTY_STRUCTURE,
     Structure,
     UnassignedAtomError,
+    _eval,
     eval_formula,
-    eval_recording,
     sat_pc,
     sequent_valid,
     valid_pc,
@@ -61,8 +61,9 @@ def test_structure_json_roundtrip():
 
 
 def test_structure_validation():
-    with pytest.raises(ValueError):
-        Structure({"p": 2}, frozenset())
+    for bit in (2, True, False, 1.0):  # a bit is the int 0 or 1, not a bool or float
+        with pytest.raises(ValueError):
+            Structure({"p": bit}, frozenset())
     with pytest.raises(ValueError):
         Structure({}, frozenset({"01x"}))
 
@@ -155,6 +156,17 @@ def test_sat_nested_r_against_full_enumeration():
         assert (fast is not None) == slow_sat
         if fast is not None:
             assert eval_formula(formula, fast) == 1
+
+
+def eval_recording(f, structure):
+    """Evaluate and report the oracle strings actually queried."""
+    queried = set()
+
+    def lookup(s):
+        queried.add(s)
+        return 1 if s in structure.oracle else 0
+
+    return _eval(f, dict(structure.atoms), lookup), frozenset(queried)
 
 
 def test_eval_depends_only_on_queried_strings():
