@@ -324,7 +324,7 @@ def existss(names, body: Formula) -> Formula:
     return body
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sequent:
     """Antecedent |- succedent.  Cedents are sequences: order and
     multiplicity matter (exchange and contraction are explicit rules)."""
@@ -333,8 +333,11 @@ class Sequent:
     succedent: tuple[Formula, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "antecedent", tuple(self.antecedent))
-        object.__setattr__(self, "succedent", tuple(self.succedent))
+        # the proof builders pass tuples; only other sequences are copied
+        if type(self.antecedent) is not tuple:
+            object.__setattr__(self, "antecedent", tuple(self.antecedent))
+        if type(self.succedent) is not tuple:
+            object.__setattr__(self, "succedent", tuple(self.succedent))
 
     @property
     def formulas(self) -> tuple[Formula, ...]:

@@ -43,7 +43,7 @@ def gprove(s: Sequent) -> GProveResult:
     inputs the result is the propositional prover's proof, node for node."""
     # eigenvariables y0, y1, ... skip every name in the input
     taken = set().union(*map(all_names, s.formulas))
-    tracker = {"depth": 0, "fresh": fresh_names("y", taken)}
+    tracker = {"depth": 0, "fresh": fresh_names("y", taken), "schemes": {}}
     outcome = prover._prove(s, 0, tracker, False)
     if outcome == UNKNOWN:
         return GProveResult(

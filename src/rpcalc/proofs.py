@@ -14,8 +14,12 @@ R.  Every rule is one row of RULES; the checker, the builders and the
 provers' backward steps all read that row, so a rule is stated once for
 both sides.  Builders do not check what they make: the provers run
 check_pk or check_g once over each finished proof, which holds under
-`python -O` too.  Proofs are trees; every node is locally checkable.
-counted_size excludes weakenings and exchanges (contractions do count).
+`python -O` too.  Every node is locally checkable, and each check
+validates each distinct node object once.  Within one prove or gprove
+call equal scheme subproofs are one object, so a proof in memory is a
+DAG; counted_size, nodes() and the JSON still measure and write it as
+a tree.  counted_size excludes weakenings and exchanges (contractions
+do count).
 """
 
 from __future__ import annotations
@@ -114,24 +118,32 @@ def rule_for(side: str, key: Any) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Proof:
-    """A proof node.  `counted` (counted lines of the tree, see
-    counted_size) and `max_line` (its longest conclusion, in symbols)
-    are computed once from the premises' values when the node is made."""
+    """A proof node.  `line` (its conclusion's length in symbols),
+    `counted` (counted lines of the tree, see counted_size) and
+    `max_line` (the tree's longest line) are computed once from the
+    premises' values when the node is made.  A weakening or exchange
+    whose conclusion is its premise's with that change takes `line` from
+    the premise's; every other node measures its conclusion."""
 
     conclusion: Sequent
     rule: str
     params: tuple[tuple[str, Any], ...]
     premises: tuple["Proof", ...]
+    line: int = field(init=False, compare=False, repr=False)
     counted: int = field(init=False, compare=False, repr=False)
     max_line: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        line = _derived_line(self) if self.rule in UNCOUNTED_TAGS else None
+        if line is None:
+            line = syntax.sequent_length(self.conclusion)
         counted = 0 if self.rule in UNCOUNTED_TAGS else 1
-        max_line = syntax.sequent_length(self.conclusion)
+        max_line = line
         for p in self.premises:
             counted += p.counted
             if p.max_line > max_line:
                 max_line = p.max_line
+        object.__setattr__(self, "line", line)
         object.__setattr__(self, "counted", counted)
         object.__setattr__(self, "max_line", max_line)
 
@@ -366,6 +378,24 @@ def _match_rsubst(s: Sequent) -> Optional[str]:
     return "no argument position carries A on the left and B on the right with equal context"
 
 
+def _derived_line(node: Proof) -> Optional[int]:
+    """The conclusion length of a weakening or exchange, from its
+    premise's: an exchange keeps it, a weakening adds the inserted
+    formula and, unless the cedent was empty, one separator.  None unless
+    the node passes its structural check, so a malformed node is
+    measured directly."""
+    if len(node.premises) != 1:
+        return None
+    rule = RULES[node.rule]
+    if _check_structural(rule, node) is not None:
+        return None
+    line = node.premises[0].line
+    if rule.shape == "swap":
+        return line
+    cedent = _cedents(node.conclusion, rule.side)[0]
+    return line + syntax.length(cedent[node.param("pos")]) + (len(cedent) > 1)
+
+
 def _validate(node: Proof, allow_quantifiers: bool) -> Optional[str]:
     rule = RULES.get(node.rule)
     if rule is None:
@@ -388,11 +418,18 @@ def _validate(node: Proof, allow_quantifiers: bool) -> Optional[str]:
 
 
 def _check(p: Proof, allow_quantifiers: bool) -> list[CheckError]:
-    # Walk without paths; only a proof with a bad node is walked again,
-    # in pre-order with paths, to report every bad node.
+    # Walk without paths, validating each distinct node object once: a
+    # node's verdict rests only on itself and its premises' conclusions,
+    # so a subproof shared within the proof is checked at its first
+    # visit.  Only a proof with a bad node is walked again, in pre-order
+    # with paths, to report every bad node at every path that reaches it.
+    seen = set()
     stack = [p]
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         if _validate(node, allow_quantifiers) is not None:
             return [
                 CheckError(path, bad.rule, problem)

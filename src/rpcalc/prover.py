@@ -161,8 +161,23 @@ def connective_step(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Reb
     return proofs.backward(tag, s, idx), rebuild
 
 
-def oracle_step(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Rebuild]:
-    """Reduction of an R application with a non-constant argument."""
+def _scheme(schemes: dict, which: str, a: Formula, before: tuple, after: tuple) -> Proof:
+    """derive_scheme's proof, made once per key in `schemes`, the cache of
+    one prove or gprove call, so equal scheme subproofs are one object."""
+    key = (which, a, before, after)
+    proof = schemes.get(key)
+    if proof is None:
+        proof = schemes[key] = proofs.derive_scheme(*key)
+    return proof
+
+
+def oracle_step(
+    s: Sequent, side: str, idx: int, schemes: Optional[dict] = None
+) -> tuple[list[Sequent], Rebuild]:
+    """Reduction of an R application with a non-constant argument.  The
+    rebuild takes its substitution schemes from `schemes` when given."""
+    if schemes is None:
+        schemes = {}
     f = _cedent(s, side)[idx]
     arg_idx = _r_with_nonconst(f)
     if arg_idx is None:
@@ -181,8 +196,8 @@ def oracle_step(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Rebuild
 
         def rebuild(ps: list[Proof]) -> Proof:
             rec1, rec2 = ps
-            e2 = proofs.derive_scheme("E2", a, before, after)
-            e4 = proofs.derive_scheme("E4", a, before, after)
+            e2 = _scheme(schemes, "E2", a, before, after)
+            e4 = _scheme(schemes, "E4", a, before, after)
             # Left: cut the 1-instance against E2.
             prem_a = proofs.weak_r(rec1, r_a, len(delta))
             goal = Sequent((r_one, a) + gamma, delta + (r_a,))
@@ -206,8 +221,8 @@ def oracle_step(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Rebuild
 
     def rebuild(ps: list[Proof]) -> Proof:
         rec1, rec2 = ps
-        e1 = proofs.derive_scheme("E1", a, before, after)
-        e3 = proofs.derive_scheme("E3", a, before, after)
+        e1 = _scheme(schemes, "E1", a, before, after)
+        e3 = _scheme(schemes, "E3", a, before, after)
         # Left: cut the 1-instance against E1.
         goal = Sequent((a, r_a) + gamma, delta + (r_one,))
         prem_a = proofs.pad(e1, goal, [0, 1], [len(delta)])
@@ -260,10 +275,15 @@ def quantifier_step(
 
 
 def decompose(
-    s: Sequent, side: str, idx: int, fresh: Optional[Iterator[str]] = None
+    s: Sequent,
+    side: str,
+    idx: int,
+    fresh: Optional[Iterator[str]] = None,
+    schemes: Optional[dict] = None,
 ) -> tuple[list[Sequent], Rebuild]:
     """The premises and rebuild closure of the step at (side, idx).  A
-    quantifier step needs `fresh`, the search's eigenvariable supply."""
+    quantifier step needs `fresh`, the search's eigenvariable supply; an
+    oracle step shares its schemes through `schemes` when given."""
     cedent = _cedent(s, side)
     if not (0 <= idx < len(cedent)):
         raise NotDecomposableError(f"no formula at {side} position {idx}")
@@ -273,7 +293,7 @@ def decompose(
     if _top_quantifier(f) and fresh is not None:
         return quantifier_step(s, side, idx, fresh)
     if _r_with_nonconst(f) is not None:
-        return oracle_step(s, side, idx)
+        return oracle_step(s, side, idx, schemes)
     raise NotDecomposableError(f"formula at {side} {idx} is not decomposable")
 
 
@@ -323,7 +343,9 @@ def _prove(s: Sequent, depth: int, tracker: dict, qfree: bool) -> Union[Proof, S
     `qfree` says `s` is known to be quantifier-free; the premises of a
     quantifier-free sequent are too, so a branch tests it only until it
     holds.  The base case is taken where `choose_target` finds nothing,
-    and the sequent cost is computed only there and at oracle steps."""
+    and the sequent cost is computed only there and at oracle steps.
+    `tracker` holds the deepest depth reached, the scheme cache of this
+    one call, and gprove's eigenvariable supply."""
     tracker["depth"] = max(tracker["depth"], depth)
     qfree = qfree or all(f.quantifier_free for f in s.formulas)
     if qfree:
@@ -331,7 +353,7 @@ def _prove(s: Sequent, depth: int, tracker: dict, qfree: bool) -> Union[Proof, S
         if target is None:
             _require(cost_sequent(s) == 0, "a sequent with no decomposable formula must have cost 0")
             return _base_proof(s)
-        prems, rebuild = decompose(s, *target)
+        prems, rebuild = decompose(s, *target, schemes=tracker["schemes"])
         if isinstance(_cedent(s, target[0])[target[1]], RApp):
             c = cost_sequent(s)
             drops = [c - cost_sequent(p) for p in prems]
@@ -371,7 +393,7 @@ def prove(s: Sequent) -> ProveResult:
     structure.  Deterministic: identical input yields an identical tree."""
     if not all(f.quantifier_free for f in s.formulas):
         raise ValueError("prove expects a quantifier-free sequent")
-    tracker = {"depth": 0}
+    tracker = {"depth": 0, "schemes": {}}
     outcome = _prove(s, 0, tracker, True)
     if isinstance(outcome, Structure):
         _require(

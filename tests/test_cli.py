@@ -166,6 +166,10 @@ ERROR_FILES = {
     "bit2.json": '{"atoms": {"p": 2}}',
     "no_p.json": '{"atoms": {"q": 1}}',
     "proof.json": '{"rule": "X"}',
+    "list_pos.json": (
+        '{"conclusion": "q, p |- p", "rule": "WeakL", "params": {"pos": [0]}, '
+        '"premises": [{"conclusion": "p |- p", "rule": "AxId"}]}'
+    ),
     "machine.json": "{}",
     "no_bits.json": NO_BITS_MACHINE,
 }
@@ -253,6 +257,8 @@ ERROR_TABLE = {
     ),
     "check-malformed": (["check", "{d}/proof.json"], 2, "", "error: {d}/proof.json: missing field 'conclusion'\n"),
     "check-list": (["check", "{d}/list.json"], 2, "", "error: {d}/list.json: proof node must be an object\n"),
+    # an unhashable position from JSON is reported, not hashed
+    "check-list-pos": (["check", "{d}/list_pos.json"], 1, "[root] WeakL: bad position [0]\n", ""),
     "compile-tm-malformed": (
         ["compile-tm", "{d}/machine.json", "--input", "1"], 2, "",
         "error: {d}/machine.json: malformed machine description: 'transitions'\n",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from genlib import random_flat_formula, random_r_free
+from genlib import generate_valid_sequents, random_flat_formula, random_r_free
 from rpcalc import proofs
 from rpcalc.formulas import Atom, Const, Or, RApp, Sequent
 from rpcalc.proofs import (
@@ -28,7 +28,7 @@ from rpcalc.proofs import (
 )
 from rpcalc.prover import prove
 from rpcalc.semantics import sequent_valid
-from rpcalc.syntax import format_sequent, parse_formula, parse_sequent, sequent_length, tokenize
+from rpcalc.syntax import format_sequent, length, parse_formula, parse_sequent, sequent_length, tokenize
 
 
 def test_axioms_check():
@@ -113,6 +113,19 @@ def test_proof_measures_match_node_walks(seed):
         assert (counted_size(node), max_line_length(node)) == walked_measures(node)
     broken = dataclasses.replace(proof, premises=proof.premises[:-1])
     assert (broken.counted, broken.max_line) == walked_measures(broken)
+    # malformed weakenings and exchanges whose conclusion is the longest
+    # line: a line derived from the premise's would come out wrong
+    big = parse_formula(" & ".join(["R(p, q)"] * 40))
+    assert length(big) > proof.max_line
+    ante, succ = proof.conclusion.antecedent, proof.conclusion.succedent
+    for node in (
+        Proof(Sequent((big,) + ante, succ), "WeakL", (("pos", len(ante) + 1),), (proof,)),  # bad pos
+        Proof(Sequent((big,) + ante, succ), "WeakL", (("pos", -1),), (proof,)),  # negative pos
+        Proof(Sequent(ante, succ + (big, big)), "WeakR", (("pos", len(succ)),), (proof,)),  # two formulas
+        Proof(Sequent(ante + (big,), succ), "ExchL", (("pos", 0),), (proof,)),  # not a swap
+    ):
+        assert check_pk(node)
+        assert (node.counted, node.max_line) == walked_measures(node)
 
 
 def reference_pad(p, side, target, keep):
@@ -235,6 +248,40 @@ def test_error_paths_are_preorder():
     assert paths == sorted(paths)
     # below a good node, the bad ones are still found, at their own paths
     assert [e.path for e in check_pk(weak_l(root, Atom("r"), 0))] == [(0,) + path for path in paths]
+
+
+def test_a_shared_bad_node_is_reported_at_every_path():
+    # the check validates a shared node object once, but the report names
+    # it at every path that reaches it, as for two equal copies
+    bad = bare("p |- q")
+    shared = bare("p |- q", "Cut", bad, bad)
+    copies = bare("p |- q", "Cut", bad, bare("p |- q"))
+    errors = check_pk(shared)
+    assert errors == check_pk(copies)
+    assert [e.path for e in errors] == [(), (0,), (1,)]
+
+
+def test_check_validates_each_distinct_node_once(monkeypatch):
+    validate = proofs._validate
+    calls = []
+
+    def counting(node, allow_quantifiers):
+        calls.append(id(node))
+        return validate(node, allow_quantifiers)
+
+    # the provers' own checks run before the wrapper goes in
+    built = [prove(s).proof for s in generate_valid_sequents(seed=1004, count=10, max_cost=10)]
+    monkeypatch.setattr(proofs, "_validate", counting)
+    shared = 0
+    for proof in built:
+        walked = [node for _, node in proofs.nodes(proof)]
+        distinct = {id(node) for node in walked}
+        calls.clear()
+        assert check_pk(proof) == []
+        assert sorted(calls) == sorted(distinct)
+        shared += len(distinct) < len(walked)
+    # the R steps of criterion 4's templates reuse their schemes
+    assert shared >= 5
 
 
 def test_json_roundtrip():
