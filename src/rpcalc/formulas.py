@@ -324,7 +324,7 @@ def existss(names, body: Formula) -> Formula:
     return body
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Sequent:
     """Antecedent |- succedent.  Cedents are sequences: order and
     multiplicity matter (exchange and contraction are explicit rules)."""
@@ -333,11 +333,8 @@ class Sequent:
     succedent: tuple[Formula, ...]
 
     def __post_init__(self) -> None:
-        # the proof builders pass tuples; only other sequences are copied
-        if type(self.antecedent) is not tuple:
-            object.__setattr__(self, "antecedent", tuple(self.antecedent))
-        if type(self.succedent) is not tuple:
-            object.__setattr__(self, "succedent", tuple(self.succedent))
+        object.__setattr__(self, "antecedent", tuple(self.antecedent))
+        object.__setattr__(self, "succedent", tuple(self.succedent))
 
     @property
     def formulas(self) -> tuple[Formula, ...]:

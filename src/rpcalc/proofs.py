@@ -118,32 +118,24 @@ def rule_for(side: str, key: Any) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Proof:
-    """A proof node.  `line` (its conclusion's length in symbols),
-    `counted` (counted lines of the tree, see counted_size) and
-    `max_line` (the tree's longest line) are computed once from the
-    premises' values when the node is made.  A weakening or exchange
-    whose conclusion is its premise's with that change takes `line` from
-    the premise's; every other node measures its conclusion."""
+    """A proof node.  `counted` (counted lines of the tree, see
+    counted_size) and `max_line` (its longest conclusion, in symbols)
+    are computed once from the premises' values when the node is made."""
 
     conclusion: Sequent
     rule: str
     params: tuple[tuple[str, Any], ...]
     premises: tuple["Proof", ...]
-    line: int = field(init=False, compare=False, repr=False)
     counted: int = field(init=False, compare=False, repr=False)
     max_line: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        line = _derived_line(self) if self.rule in UNCOUNTED_TAGS else None
-        if line is None:
-            line = syntax.sequent_length(self.conclusion)
         counted = 0 if self.rule in UNCOUNTED_TAGS else 1
-        max_line = line
+        max_line = syntax.sequent_length(self.conclusion)
         for p in self.premises:
             counted += p.counted
             if p.max_line > max_line:
                 max_line = p.max_line
-        object.__setattr__(self, "line", line)
         object.__setattr__(self, "counted", counted)
         object.__setattr__(self, "max_line", max_line)
 
@@ -376,24 +368,6 @@ def _match_rsubst(s: Sequent) -> Optional[str]:
         ):
             return None
     return "no argument position carries A on the left and B on the right with equal context"
-
-
-def _derived_line(node: Proof) -> Optional[int]:
-    """The conclusion length of a weakening or exchange, from its
-    premise's: an exchange keeps it, a weakening adds the inserted
-    formula and, unless the cedent was empty, one separator.  None unless
-    the node passes its structural check, so a malformed node is
-    measured directly."""
-    if len(node.premises) != 1:
-        return None
-    rule = RULES[node.rule]
-    if _check_structural(rule, node) is not None:
-        return None
-    line = node.premises[0].line
-    if rule.shape == "swap":
-        return line
-    cedent = _cedents(node.conclusion, rule.side)[0]
-    return line + syntax.length(cedent[node.param("pos")]) + (len(cedent) > 1)
 
 
 def _validate(node: Proof, allow_quantifiers: bool) -> Optional[str]:

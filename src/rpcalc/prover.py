@@ -171,13 +171,9 @@ def _scheme(schemes: dict, which: str, a: Formula, before: tuple, after: tuple) 
     return proof
 
 
-def oracle_step(
-    s: Sequent, side: str, idx: int, schemes: Optional[dict] = None
-) -> tuple[list[Sequent], Rebuild]:
+def oracle_step(s: Sequent, side: str, idx: int, schemes: dict) -> tuple[list[Sequent], Rebuild]:
     """Reduction of an R application with a non-constant argument.  The
-    rebuild takes its substitution schemes from `schemes` when given."""
-    if schemes is None:
-        schemes = {}
+    rebuild takes its substitution schemes from `schemes` (see _scheme)."""
     f = _cedent(s, side)[idx]
     arg_idx = _r_with_nonconst(f)
     if arg_idx is None:
@@ -278,12 +274,12 @@ def decompose(
     s: Sequent,
     side: str,
     idx: int,
+    schemes: dict,
     fresh: Optional[Iterator[str]] = None,
-    schemes: Optional[dict] = None,
 ) -> tuple[list[Sequent], Rebuild]:
-    """The premises and rebuild closure of the step at (side, idx).  A
-    quantifier step needs `fresh`, the search's eigenvariable supply; an
-    oracle step shares its schemes through `schemes` when given."""
+    """The premises and rebuild closure of the step at (side, idx).  An
+    oracle step shares its substitution schemes through `schemes`; a
+    quantifier step needs `fresh`, the search's eigenvariable supply."""
     cedent = _cedent(s, side)
     if not (0 <= idx < len(cedent)):
         raise NotDecomposableError(f"no formula at {side} position {idx}")
@@ -300,7 +296,7 @@ def decompose(
 def premise_costs(s: Sequent, side: str, idx: int) -> list[int]:
     """Costs of the premise sequents the prover would generate for the
     decomposition target at (side, idx)."""
-    prems, _ = decompose(s, side, idx)
+    prems, _ = decompose(s, side, idx, {})
     return [cost_sequent(p) for p in prems]
 
 
@@ -353,7 +349,7 @@ def _prove(s: Sequent, depth: int, tracker: dict, qfree: bool) -> Union[Proof, S
         if target is None:
             _require(cost_sequent(s) == 0, "a sequent with no decomposable formula must have cost 0")
             return _base_proof(s)
-        prems, rebuild = decompose(s, *target, schemes=tracker["schemes"])
+        prems, rebuild = decompose(s, *target, tracker["schemes"])
         if isinstance(_cedent(s, target[0])[target[1]], RApp):
             c = cost_sequent(s)
             drops = [c - cost_sequent(p) for p in prems]
@@ -363,7 +359,7 @@ def _prove(s: Sequent, depth: int, tracker: dict, qfree: bool) -> Union[Proof, S
         if target is None:
             # Quantifiers survive only inside R arguments; no rule reaches them.
             return UNKNOWN
-        prems, rebuild = decompose(s, *target, tracker["fresh"])
+        prems, rebuild = decompose(s, *target, tracker["schemes"], tracker["fresh"])
         _require(max(map(_measure, prems)) < _measure(s), "a step must shrink the measure")
     subproofs = []
     for prem in prems:

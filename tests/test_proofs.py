@@ -114,7 +114,7 @@ def test_proof_measures_match_node_walks(seed):
     broken = dataclasses.replace(proof, premises=proof.premises[:-1])
     assert (broken.counted, broken.max_line) == walked_measures(broken)
     # malformed weakenings and exchanges whose conclusion is the longest
-    # line: a line derived from the premise's would come out wrong
+    # line: a length derived from the premise's would come out wrong
     big = parse_formula(" & ".join(["R(p, q)"] * 40))
     assert length(big) > proof.max_line
     ante, succ = proof.conclusion.antecedent, proof.conclusion.succedent

@@ -8,12 +8,12 @@ import sys
 import pytest
 
 from genlib import QUANTIFIED_SUITE, generate_valid_sequents, random_flat_formula
-from rpcalc import prover, syntax
+from rpcalc import prover
 from rpcalc.gprover import gprove
 from rpcalc.constants import D_LINES, E_LINE_FACTOR
 from rpcalc.formulas import RApp, Sequent, cost_sequent
 from rpcalc.prover import NotDecomposableError, premise_costs, prove
-from rpcalc.proofs import UNCOUNTED_TAGS, check_pk, dump_proof, nodes
+from rpcalc.proofs import check_pk, dump_proof
 from rpcalc.semantics import eval_formula, sequent_valid, validity_formula
 from rpcalc.syntax import parse_formula, parse_sequent, sequent_length
 
@@ -106,28 +106,6 @@ def test_prove_reads_the_sequent_cost_only_where_a_check_needs_it(monkeypatch):
     assert r.valid
     assert r.stats.counted_sequents == 2000
     assert len(calls) == 1
-
-
-def test_prove_measures_lines_only_at_logical_nodes(monkeypatch):
-    # weakenings and exchanges take their line from their premise's, so
-    # the sequent is measured once per logical node and once for the
-    # bound on the root, not at every one of the 1,999 weakenings
-    s = parse_sequent(" & ".join(["p"] * 2000) + " |- p")
-    measured = []
-
-    def counting(sequent):
-        measured.append(sequent)
-        return sequent_length(sequent)
-
-    monkeypatch.setattr(syntax, "sequent_length", counting)
-    r = prove(s)
-    walked = [node for _, node in nodes(r.proof)]
-    structural = {id(node.conclusion) for node in walked if node.rule in UNCOUNTED_TAGS}
-    logical = len(walked) - sum(node.rule in UNCOUNTED_TAGS for node in walked)
-    assert (logical, len(structural)) == (2000, 1999)
-    assert len(measured) <= logical + 1
-    assert not any(id(sequent) in structural for sequent in measured)
-    assert r.stats.max_line == sequent_length(s)
 
 
 def test_determinism():
