@@ -4,12 +4,6 @@ automatic provers with size accounting, and a compiler from
 nondeterministic Turing machines to linear-size universally quantified
 formulas."""
 
-import sys as _sys
-
-# Compiled formulas carry quantifier prefixes and conjunction chains far
-# deeper than the default interpreter limit.
-_sys.setrecursionlimit(max(_sys.getrecursionlimit(), 100_000))
-
 from .formulas import (
     And,
     Atom,
@@ -72,7 +66,7 @@ from .proofs import (
     max_line_length,
 )
 from .prover import ProveResult, ProverStats, premise_costs, prove
-from .gprover import GProveResult, gprove
+from .gprover import gprove
 from .machines import MachineSpec, Run, load_machine, normalize_machine, simulate
 from .tableau import (
     EncodingParams,

@@ -12,10 +12,11 @@ and exit 2.  An internal fault such as ProverInvariantError is not a
 ValueError: it propagates with its traceback and is never reported as a
 usage error.  The helpers below only add context (a path, a line
 number) to a message.  Parsing accepts nesting of any depth, but some
-walks over the parsed formula still recurse: where one exceeds the
-recursion limit the command reports "input nested too deeply" and
-exits 2.  Outputs carry no timestamps; identical invocations produce
-byte-identical output.
+walks over the parsed formula still recurse, so `main` raises the
+interpreter's recursion limit to 100,000 while the command runs and
+restores it afterwards; where a walk still exceeds it the command
+reports "input nested too deeply" and exits 2.  Outputs carry no
+timestamps; identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -157,20 +158,10 @@ def _emit_proof(proof, stats, args) -> None:
 
 
 def cmd_prove(args) -> int:
-    result = prover.prove(_single(args.file, "sequent"))
-    if not result.valid:
-        print("INVALID")
-        print(result.counterexample.dumps())
-        return EXIT_NEGATIVE
-    _emit_proof(result.proof, result.stats, args)
-    return EXIT_OK
-
-
-def cmd_gprove(args) -> int:
-    result = gprover.gprove(_single(args.file, "sequent"))
-    if result.status == gprover.UNKNOWN:
+    result = args.search(_single(args.file, "sequent"))
+    if result.status == prover.UNKNOWN:
         raise ValueError(result.reason)
-    if result.status == gprover.NOT_VALID:
+    if result.status == prover.NOT_VALID:
         print("INVALID")
         print(result.counterexample.dumps())
         return EXIT_NEGATIVE
@@ -297,13 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--out")
     p.add_argument("--stats")
-    p.set_defaults(fn=cmd_prove)
+    p.set_defaults(fn=cmd_prove, search=prover.prove)
 
     p = sub.add_parser("gprove", help="prove a valid quantified sequent")
     p.add_argument("file")
     p.add_argument("--out")
     p.add_argument("--stats")
-    p.set_defaults(fn=cmd_gprove)
+    p.set_defaults(fn=cmd_prove, search=gprover.gprove)
 
     p = sub.add_parser("check", help="check a proof file")
     p.add_argument("file")
@@ -340,6 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    limit = sys.getrecursionlimit()
+    # compiled formulas carry quantifier prefixes and conjunction chains
+    # far deeper than the default limit
+    sys.setrecursionlimit(max(limit, 100_000))
     try:
         return args.fn(args)
     except ValueError as exc:
@@ -348,6 +343,8 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,33 +11,13 @@ once with proofs.check_g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from . import proofs, prover
 from .formulas import Sequent, all_names, fresh_names
-from .proofs import Proof
-from .prover import UNKNOWN, ProverStats
+from .prover import NOT_VALID, PROVED, UNKNOWN, ProveResult
 from .semantics import Structure
 
-PROVED = "proved"
-NOT_VALID = "not_valid"
 
-
-@dataclass(frozen=True)
-class GProveResult:
-    status: str
-    proof: Optional[Proof] = None
-    stats: Optional[ProverStats] = None
-    counterexample: Optional[Structure] = None
-    reason: str = ""
-
-    @property
-    def valid(self) -> bool:
-        return self.status == PROVED
-
-
-def gprove(s: Sequent) -> GProveResult:
+def gprove(s: Sequent) -> ProveResult:
     """Prove a valid sequent of the quantified language, or report a
     falsifying structure of the quantifier-free core; on quantifier-free
     inputs the result is the propositional prover's proof, node for node."""
@@ -46,11 +26,11 @@ def gprove(s: Sequent) -> GProveResult:
     tracker = {"depth": 0, "fresh": fresh_names("y", taken), "schemes": {}}
     outcome = prover._prove(s, 0, tracker, False)
     if outcome == UNKNOWN:
-        return GProveResult(
+        return ProveResult(
             UNKNOWN,
             reason="quantifiers inside R arguments cannot be reduced by the quantifier rules",
         )
     if isinstance(outcome, Structure):
-        return GProveResult(NOT_VALID, counterexample=outcome)
+        return ProveResult(NOT_VALID, counterexample=outcome)
     stats = prover._finished(s, outcome, proofs.check_g, tracker)
-    return GProveResult(PROVED, proof=outcome, stats=stats)
+    return ProveResult(PROVED, proof=outcome, stats=stats)

@@ -45,6 +45,8 @@ from .formulas import (
 from .proofs import Proof
 from .semantics import Structure, eval_formula, validity_formula
 
+PROVED = "proved"
+NOT_VALID = "not_valid"
 UNKNOWN = "unknown"
 
 
@@ -66,13 +68,18 @@ class ProverStats:
 
 @dataclass(frozen=True)
 class ProveResult:
-    proof: Optional[Proof]
-    stats: Optional[ProverStats]
-    counterexample: Optional[Structure]
+    """Outcome of prove or gprove: PROVED with a proof and its stats,
+    NOT_VALID with a falsifying structure, or UNKNOWN with a reason."""
+
+    status: str
+    proof: Optional[Proof] = None
+    stats: Optional[ProverStats] = None
+    counterexample: Optional[Structure] = None
+    reason: str = ""
 
     @property
     def valid(self) -> bool:
-        return self.proof is not None
+        return self.status == PROVED
 
 
 class NotDecomposableError(ValueError):
@@ -396,7 +403,7 @@ def prove(s: Sequent) -> ProveResult:
             eval_formula(validity_formula(s), outcome) == 0,
             "countermodel does not falsify the sequent",
         )
-        return ProveResult(None, None, outcome)
+        return ProveResult(NOT_VALID, counterexample=outcome)
     stats = _finished(s, outcome, proofs.check_pk, tracker)
     _require(
         stats.counted_sequents <= D_LINES * (1 << stats.cost_at_root),
@@ -406,4 +413,4 @@ def prove(s: Sequent) -> ProveResult:
         stats.max_line <= E_LINE_FACTOR * syntax.sequent_length(s),
         "proof line exceeds e * |S| symbols",
     )
-    return ProveResult(outcome, stats, None)
+    return ProveResult(PROVED, proof=outcome, stats=stats)

@@ -21,7 +21,7 @@ the time budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import machines
@@ -58,25 +58,22 @@ class EncodingParams:
     """Sizes of the tableau encoding.
 
     n: input length; t: time exponent (the run covers times 0..2^t - 1);
-    m: cell-index bits; w_bits: offset bits (cells are w = 2^w_bits bits
-    wide); k: decoder input bits, ceil(log2(n+1)).
+    w_bits: offset bits (cells are w = 2^w_bits bits wide).
     """
 
     n: int
     t: int
-    m: int
     w_bits: int
-    k: int
 
     def __post_init__(self) -> None:
         if self.n < 0 or self.t < 1:
             raise EncodingError("need n >= 0 and t >= 1")
-        if self.m < self.t + 1:
-            raise EncodingError("need m >= t + 1 so 2^m cells cover 2^t steps")
-        if (1 << self.m) < self.n + 2:
-            raise EncodingError("2^m cells must hold the marker, the input and a blank")
-        if self.k != (self.n.bit_length() if self.n else 0):
-            raise EncodingError("k must be ceil(log2(n+1))")
+
+    @property
+    def m(self) -> int:
+        """Cell-index bits: 2^m cells cover 2^t steps and hold the
+        marker, the input and a blank."""
+        return max(self.t + 1, (self.n + 1).bit_length())
 
     @property
     def w(self) -> int:
@@ -96,9 +93,7 @@ def default_params(machine: MachineSpec, n: int, t: int) -> EncodingParams:
     layout = _Layout(machine)
     needed = layout.used_bits
     w_bits = max(1, (needed - 1).bit_length())
-    m = max(t + 1, (n + 1).bit_length())
-    k = n.bit_length() if n else 0
-    return EncodingParams(n=n, t=t, m=m, w_bits=w_bits, k=k)
+    return EncodingParams(n=n, t=t, w_bits=w_bits)
 
 
 _CANONICAL_SYMBOLS = (BLANK, MARKER, "0", "1")
@@ -142,14 +137,7 @@ class _Layout:
 class CompileInfo:
     params: EncodingParams
     machine: MachineSpec
-    var_groups: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    @property
-    def universal_vars(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for key in sorted(self.var_groups):
-            out.extend(self.var_groups[key])
-        return tuple(out)
+    universal_vars: tuple[str, ...]  # the formula's prefix, in order
 
 
 def _const_bits(value: int, width: int) -> list[Formula]:
@@ -214,7 +202,7 @@ class _Builder:
 
     # -- start ---------------------------------------------------------
 
-    def start_parts(self, x: str) -> tuple[list[str], Formula, dict[str, tuple[str, ...]]]:
+    def start_parts(self, x: str) -> tuple[list[str], Formula]:
         p = self.params
         cell_vars = [f"sc{i}" for i in range(p.m)]
         cell_refs: list[Formula] = [Atom(v) for v in cell_vars]
@@ -232,18 +220,17 @@ class _Builder:
         nonzero = or_all(Atom(v) for v in cell_vars)
         blank = and_all(self.assert_content(var_atom, BLANK, None, 0))
 
-        groups: dict[str, tuple[str, ...]] = {"start_cell_bits": tuple(cell_vars)}
         if p.n == 0:
-            matrix = And(and_all(cell0), implies(nonzero, blank))
-            return cell_vars, matrix, groups
+            return cell_vars, And(and_all(cell0), implies(nonzero, blank))
 
         if "0" not in self.layout.sym_code or "1" not in self.layout.sym_code:
             raise EncodingError("machine alphabet must contain '0' and '1' for nonempty inputs")
         decoder = decoder_circuit(p.n)
         gate_vars = [f"sg{i}" for i in range(decoder.gate_count)]
         out_vars = [f"sr{i}" for i in range(1, p.n + 1)]
-        beta = circuit_to_formula(decoder, cell_vars[: p.k], gate_vars, out_vars)
-        zero_guard = [Not(Atom(v)) for v in cell_vars[p.k :]]
+        k = decoder.n_inputs
+        beta = circuit_to_formula(decoder, cell_vars[:k], gate_vars, out_vars)
+        zero_guard = [Not(Atom(v)) for v in cell_vars[k:]]
         selected = or_all(Atom(v) for v in out_vars)
         in_range = and_all(zero_guard + [selected])
 
@@ -265,14 +252,11 @@ class _Builder:
                 implies(And(nonzero, Not(in_range)), blank),
             ),
         )
-        matrix = And(and_all(cell0), guarded)
-        groups["start_gates"] = tuple(gate_vars)
-        groups["start_decoder_outputs"] = tuple(out_vars)
-        return cell_vars + gate_vars + out_vars, matrix, groups
+        return cell_vars + gate_vars + out_vars, And(and_all(cell0), guarded)
 
     # -- step ----------------------------------------------------------
 
-    def step_parts(self) -> tuple[list[str], Formula, dict[str, tuple[str, ...]]]:
+    def step_parts(self) -> tuple[list[str], Formula]:
         p = self.params
         lay = self.layout
         time_vars = [f"tq{i}" for i in range(p.t)]
@@ -375,13 +359,7 @@ class _Builder:
             + t_out
             + [t_carry]
         )
-        groups = {
-            "step_time_bits": tuple(time_vars),
-            "step_cell_bits": tuple(cell_vars),
-            "step_gates": tuple(dec_gates + inc_gates + t_gates),
-            "step_circuit_outputs": tuple(dec_out + inc_out + [inc_carry] + t_out + [t_carry]),
-        }
-        return all_vars, matrix, groups
+        return all_vars, matrix
 
     def assert_head_fields(self, atom_of, next_state: str) -> list[Formula]:
         """Head arrives: flag set, state index pinned, choice free,
@@ -410,18 +388,17 @@ class _Builder:
         return and_all(self.assert_content(atom, MARKER, final, 0))
 
 
-def build_S(machine: MachineSpec, x: str, enc: Optional[EncodingParams] = None) -> Formula:
+def build_S(machine: MachineSpec, x: str, enc: EncodingParams) -> Formula:
     """Universally closed start constraint for input x at time 0."""
-    enc = enc or default_params(machine, len(x), max(1, len(x)))
     builder = _Builder(machine, enc)
-    vars_, matrix, _ = builder.start_parts(x)
+    vars_, matrix = builder.start_parts(x)
     return foralls(vars_, matrix)
 
 
 def build_I(machine: MachineSpec, enc: EncodingParams) -> Formula:
     """Universally closed step constraint between consecutive times."""
     builder = _Builder(machine, enc)
-    vars_, matrix, _ = builder.step_parts()
+    vars_, matrix = builder.step_parts()
     return foralls(vars_, matrix)
 
 
@@ -443,11 +420,11 @@ def compile_with_info(
     normalized = machines.normalize_machine(machine)
     enc = default_params(normalized, n, t)
     builder = _Builder(normalized, enc)
-    s_vars, s_matrix, s_groups = builder.start_parts(x)
-    i_vars, i_matrix, i_groups = builder.step_parts()
+    s_vars, s_matrix = builder.start_parts(x)
+    i_vars, i_matrix = builder.step_parts()
     e_matrix = builder.end_matrix()
     formula = foralls(s_vars + i_vars, And(And(s_matrix, i_matrix), e_matrix))
-    info = CompileInfo(params=enc, machine=normalized, var_groups={**s_groups, **i_groups})
+    info = CompileInfo(params=enc, machine=normalized, universal_vars=tuple(s_vars + i_vars))
     return formula, info
 
 
@@ -467,14 +444,13 @@ def witness_structure(
     machine: MachineSpec,
     x: str,
     run: Run,
-    enc: Optional[EncodingParams] = None,
+    enc: EncodingParams,
 ) -> Structure:
     """Oracle encoding of a legal run, padded by repeating the final
     configuration out to the time horizon; contains exactly the strings
     whose tableau bit is 1."""
     if not is_normalized(machine):
         raise EncodingError("witness structures are built for normalized machines")
-    enc = enc or default_params(machine, len(x), max(1, len(x)))
     layout = _Layout(machine)
     check_run(machine, x, run)
     horizon = enc.horizon

@@ -3,8 +3,6 @@ import pathlib
 import pytest
 from hypothesis import HealthCheck, settings
 
-import rpcalc  # noqa: F401  (raises the recursion limit)
-
 settings.register_profile(
     "suite",
     deadline=None,

@@ -119,6 +119,9 @@ def test_sat_pi1_exit_codes(tmp_path, capsys):
     assert code == 3
     assert out.startswith("BUDGET_EXCEEDED")
 
+    code, out, _ = run_cli(capsys, "sat-pi1", str(f), "--max-strings", "1")
+    assert (code, out) == (3, "BUDGET_EXCEEDED expansion exceeded max_oracle_strings\n")
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -369,6 +372,9 @@ def test_prove_invalid(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "prove", str(seq))
     assert code == 1
     assert out.splitlines()[0] == "INVALID"
+    # gprove reports the countermodel of the quantifier-free core
+    seq.write_text("|- all x. x\n")
+    assert run_cli(capsys, "gprove", str(seq)) == (1, 'INVALID\n{"atoms": {"y0": 0}, "oracle": []}\n', "")
 
 
 def test_gprove_and_quantified_check(tmp_path, capsys):
@@ -477,8 +483,17 @@ def test_deep_nesting_is_a_usage_error(tmp_path, command):
     assert proc.stdout == stdout
 
 
+# command: (exit code, stdout) on R(R(...R(p)...)).
+DEEP_ORACLE_ANSWERS = {
+    "sat": (0, 'SAT\n{"atoms": {"p": 0}, "oracle": ["0", "1"]}\n'),
+    "valid": (1, 'INVALID\n{"atoms": {"p": 0}, "oracle": []}\n'),
+    "sat-pi1": (0, 'SAT\n{"atoms": {"p": 0}, "oracle": ["0", "1"]}\n'),
+    "eval": (0, "0\n"),
+}
+
+
 @pytest.mark.parametrize("depth", [15_000, 30_000])
-@pytest.mark.parametrize("command", ["sat", "valid", "sat-pi1", "eval"])
+@pytest.mark.parametrize("command", sorted(DEEP_ORACLE_ANSWERS))
 def test_deep_oracle_nesting_ends_cleanly(tmp_path, command, depth):
     # a walk that recurses through a builtin (a generator consumed by
     # str.join, say) nests C frames below the recursion limit's reach,
@@ -491,8 +506,7 @@ def test_deep_oracle_nesting_ends_cleanly(tmp_path, command, depth):
         structure.write_text('{"atoms": {"p": 1}, "oracle": []}')
         argv += ["--structure", str(structure)]
     proc = run_module(*argv)
-    assert 0 <= proc.returncode <= 3, proc.stderr[-2000:]
-    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (*DEEP_ORACLE_ANSWERS[command], "")
 
 
 def test_deep_proof_is_checked(tmp_path):
@@ -527,3 +541,22 @@ def test_import_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_import_and_main_leave_the_recursion_limit_alone(tmp_path):
+    # main raises the limit only while its command runs, and restores it
+    # on the error path too
+    script = (
+        "import sys; limit = sys.getrecursionlimit(); import rpcalc, rpcalc.cli\n"
+        "print(sys.getrecursionlimit() == limit)\n"
+        "print(rpcalc.cli.main(['parse', sys.argv[1]]), sys.getrecursionlimit() == limit)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "missing.pc")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.stdout == "True\n2 True\n", proc.stderr

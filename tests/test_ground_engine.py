@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genlib import (
@@ -344,6 +344,9 @@ def short_circuited_query(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(nested_r(), short_circuited_query()))
+# two literals of one opened part clash (both UNSAT)
+@example(parse_formula("(q | p & ~p) & ~q"))
+@example(parse_formula("(q | (p & ~p)) & (~q | r) & ~r"))
 def test_sat_pc_matches_reference_on_nested_r_formulas(f):
     assert_sat_pc_agrees(f)
 

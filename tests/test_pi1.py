@@ -79,6 +79,18 @@ def test_budget_exceeded_structures():
     assert r.status == BUDGET_EXCEEDED
 
 
+def test_budget_exceeded_oracle_strings():
+    # the expansion counts the strings its leaves name; the ground solver
+    # counts the strings it assigns
+    f = parse_formula("all x. all y. R(x, y) | R(y, x) | R(x, x)")
+    r = sat_pi1(f, SolverLimits(max_oracle_strings=2))
+    assert (r.status, r.reason) == (BUDGET_EXCEEDED, "expansion exceeded max_oracle_strings")
+    f = parse_formula("R(R(p)) & R(R(q)) & ~R(R(R(p)))")
+    r = sat_pi1(f, SolverLimits(max_oracle_strings=1))
+    assert (r.status, r.reason) == (BUDGET_EXCEEDED, "solver exceeded max_oracle_strings")
+    assert sat_pi1(f).status == SAT
+
+
 def test_unsupported_shape():
     with pytest.raises(UnsupportedShapeError):
         sat_pi1(parse_formula("ex x. R(x)"))

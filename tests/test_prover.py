@@ -92,7 +92,16 @@ def test_connective_premises_strictly_cheaper():
                     assert all(d < total for d in drops)
 
 
-def test_prove_reads_the_sequent_cost_only_where_a_check_needs_it(monkeypatch):
+@pytest.fixture
+def deep_recursion():
+    # the search and the checker recurse once per conjunct
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100_000)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def test_prove_reads_the_sequent_cost_only_where_a_check_needs_it(monkeypatch, deep_recursion):
     # a conjunction has no oracle step and its proof one leaf, so the
     # leaf's cost-0 check is the one reader of the sequent cost
     calls = []

@@ -307,5 +307,9 @@ ascii_text = st.text(alphabet=string.printable + "\x00\x0b", max_size=40)
 @example("p, |- q")
 @example("|- |- p")
 @example("\n\n  p )")
+@example("p & q => r")
+@example("p | q => r")
+@example("~p => q")
+@example("all x. x & p => q")
 def test_parser_matches_reference(text):
     assert_agrees(text)

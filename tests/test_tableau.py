@@ -7,7 +7,7 @@ from genlib import (
     naive_holds_universally,
     reject_all_machine,
 )
-from rpcalc.formulas import RApp, walk
+from rpcalc.formulas import Forall, RApp, walk
 from rpcalc.machines import Run, initial_config, normalize_machine, simulate
 from rpcalc.semantics import (
     SAT,
@@ -55,12 +55,9 @@ def test_params_invariants(norm_first1):
     enc = default_params(norm_first1, 2, 2)
     assert enc.m >= enc.t + 1
     assert (1 << enc.m) >= enc.n + 2
-    assert enc.k == 2
     assert enc.w >= 6
     with pytest.raises(EncodingError):
-        EncodingParams(n=2, t=2, m=2, w_bits=3, k=2)
-    with pytest.raises(EncodingError):
-        EncodingParams(n=2, t=2, m=3, w_bits=3, k=1)
+        EncodingParams(n=2, t=0, w_bits=3)
 
 
 def test_classification_and_arity(compiled_10):
@@ -74,15 +71,11 @@ def test_no_stray_universal_variables(compiled_10):
     formula, info = compiled_10
     uvars, _ = pull_universals(formula)
     assert len(uvars) == len(info.universal_vars)
-    grouped = set()
-    for key, names in info.var_groups.items():
-        assert key.startswith(("start_", "step_"))
-        grouped |= set(names)
-    # every universal variable is a cell-index bit, a time bit, or a
-    # circuit gate/output variable of one of the named groups
-    flat = [v for g in sorted(info.var_groups) for v in info.var_groups[g]]
-    assert sorted(flat) == sorted(grouped)
-    assert len(grouped) == len(info.universal_vars)
+    prefix = []
+    while isinstance(formula, Forall):
+        prefix.append(formula.var)
+        formula = formula.body
+    assert tuple(prefix) == info.universal_vars
 
 
 def test_witness_satisfies_start_exhaustively(norm_first1):
