@@ -388,8 +388,14 @@ class _Builder:
         return and_all(self.assert_content(atom, MARKER, final, 0))
 
 
+def _check_input_length(x: str, enc: EncodingParams) -> None:
+    if len(x) != enc.n:
+        raise EncodingError(f"input {x!r} has length {len(x)}, but the tableau has n = {enc.n}")
+
+
 def build_S(machine: MachineSpec, x: str, enc: EncodingParams) -> Formula:
     """Universally closed start constraint for input x at time 0."""
+    _check_input_length(x, enc)
     builder = _Builder(machine, enc)
     vars_, matrix = builder.start_parts(x)
     return foralls(vars_, matrix)
@@ -451,6 +457,7 @@ def witness_structure(
     whose tableau bit is 1."""
     if not is_normalized(machine):
         raise EncodingError("witness structures are built for normalized machines")
+    _check_input_length(x, enc)
     layout = _Layout(machine)
     check_run(machine, x, run)
     horizon = enc.horizon

@@ -76,6 +76,7 @@ def test_no_stray_universal_variables(compiled_10):
         prefix.append(formula.var)
         formula = formula.body
     assert tuple(prefix) == info.universal_vars
+    assert len(set(prefix)) == len(prefix)
 
 
 def test_witness_satisfies_start_exhaustively(norm_first1):
@@ -265,6 +266,18 @@ def test_linearity(first1):
         sizes.append(length(compile_machine(first1, x, n)))
     for a, b in zip(sizes, sizes[1:]):
         assert b <= 2.2 * a
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5])
+def test_input_length_must_match_params(norm_first1, n):
+    # "10" has length 2: a shorter tableau would drop input bits, a
+    # longer one would read past the input or size the wrong oracle
+    enc = default_params(norm_first1, n, 2)
+    run = simulate(norm_first1, "10", 16)
+    with pytest.raises(EncodingError, match="has length 2"):
+        build_S(norm_first1, "10", enc)
+    with pytest.raises(EncodingError, match="has length 2"):
+        witness_structure(norm_first1, "10", run, enc)
 
 
 def test_witness_run_too_long(norm_first1):
