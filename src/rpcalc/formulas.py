@@ -347,15 +347,7 @@ def walk(f: Formula) -> Iterator[Formula]:
     while stack:
         g = stack.pop()
         yield g
-        if isinstance(g, Not):
-            stack.append(g.child)
-        elif isinstance(g, (And, Or)):
-            stack.append(g.right)
-            stack.append(g.left)
-        elif isinstance(g, RApp):
-            stack.extend(reversed(g.args))
-        elif isinstance(g, (Forall, Exists)):
-            stack.append(g.body)
+        stack += reversed(g._children())
 
 
 def is_quantifier_free(f: Formula) -> bool:
@@ -412,23 +404,16 @@ def cost_sequent(s: Sequent) -> int:
 
 def free_atoms(f: Formula) -> frozenset[str]:
     out: set[str] = set()
-
-    def go(g: Formula, bound: frozenset[str]) -> None:
+    stack: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
+    while stack:
+        g, bound = stack.pop()
         if isinstance(g, Atom):
             if g.name not in bound:
                 out.add(g.name)
-        elif isinstance(g, Not):
-            go(g.child, bound)
-        elif isinstance(g, (And, Or)):
-            go(g.left, bound)
-            go(g.right, bound)
-        elif isinstance(g, RApp):
-            for a in g.args:
-                go(a, bound)
         elif isinstance(g, (Forall, Exists)):
-            go(g.body, bound | {g.var})
-
-    go(f, frozenset())
+            stack.append((g.body, bound | {g.var}))
+        else:
+            stack += [(c, bound) for c in g._children()]
     return frozenset(out)
 
 

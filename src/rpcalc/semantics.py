@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .formulas import (
     And,
@@ -289,48 +289,40 @@ def _keys(f: Formula) -> tuple[str, ...]:
     return tuple(sorted(key_set(f)))
 
 
-class _Budget(Exception):
-    pass
+class BudgetExceeded(Exception):
+    """An expansion or ground solve went over a SolverLimits budget."""
 
 
 def _expansion_counters() -> dict:
     return {"folds": 0, "leaves": 0, "forced": 0, "branches": 0, "strings": set()}
 
 
-def _guard_of(g: Formula) -> tuple[list[Formula], list[str]]:
-    """Split an instance into its top-level disjuncts.  Returns the
-    conjuncts G_i of every negated disjunct ~(G_1 & ... & G_k), which
-    together form the guard, and the atoms that are bare disjuncts."""
+def _guard_of(g: Formula) -> list[Formula]:
+    """The guard of an instance: the conjuncts G_i of every negated
+    top-level disjunct ~(G_1 & ... & G_k).  A bare atom disjunct x is
+    the negated disjunct ~(~x), so it adds the conjunct ~x."""
     guard: list[Formula] = []
-    bare: list[str] = []
     for d in flatten_or(g):
         if isinstance(d, Not):
             guard.extend(flatten_and(d.child))
         elif isinstance(d, Atom):
-            bare.append(d.name)
-    return guard, bare
+            guard.append(Not(d))
+    return guard
 
 
 def _force(
     guard: list[Formula],
-    bare: list[str],
     universals: frozenset[str],
     env: dict[str, int],
     strings: Optional[Mapping[str, int]],
 ) -> Optional[tuple[dict[str, int], list[Formula]]]:
     """Extend env by every universal value whose other value makes the
-    instance 1: a bare atom disjunct x forces x = 0, and a literal among
-    the guard conjuncts forces the value that keeps it true.  Works on
-    the guard alone and repeats until nothing new is forced.  Returns
-    the extended env and the folded guard, or None when every value of
-    some universal makes the instance 1."""
-    env = dict(env)
-    for name in bare:
-        if name in universals:
-            if env.get(name) == 1:
-                return None
-            env[name] = 0
-    pending = env
+    instance 1: a literal among the guard conjuncts forces the value
+    that keeps it true.  Works on the guard alone and repeats until
+    nothing new is forced.  Returns the extended env and the folded
+    guard, or None when every value of some universal makes the
+    instance 1."""
+    pending = env = dict(env)
     while True:
         forced: dict[str, int] = {}
         kept: list[Formula] = []
@@ -371,34 +363,32 @@ def _defined(guard: list[Formula]) -> set[str]:
 
 def _expand(
     conjunct: Formula,
-    support: list[str],
+    uvars: Sequence[str],
     limits: SolverLimits,
     counters: dict,
     strings: Optional[Mapping[str, int]] = None,
 ) -> list[Formula]:
-    """The distinct ground instances of `conjunct` over its universal
-    support that do not fold to 1, each once, in first-found order.
+    """The distinct ground instances of `conjunct` over the universals
+    `uvars` that do not fold to 1, each once, in first-found order.
 
-    The expansion never enters a branch whose instance folds to 1.  At
-    each step the instance is split into its top-level disjuncts; the
-    negated ones, ~(G_1 & ... & G_k), form its guard.  A universal that
-    is a bare literal disjunct or a literal G_i has one value that makes
-    the instance 1, so only the other value is taken.  Forcing repeats
+    The expansion never enters a branch whose instance folds to 1: a
+    universal that is a literal of the instance's guard (see _guard_of)
+    takes only the value that keeps the literal true.  Forcing repeats
     on the small guard alone, and the whole instance is then folded once
     with every forced value.  When nothing is forced, the expansion
-    branches on the first universal in support order that no guard
-    biconditional x <=> e defines, so circuit inputs are branched on and
-    gate and output variables are forced as their definitions become
-    ground.  Every folded instance counts against max_structures.  Each
-    fold resolves the R applications that `strings` answers (see
-    fold_assign); sat_pi1 passes none."""
+    branches on the first universal in `uvars` order that still occurs
+    and that no guard biconditional x <=> e defines, so circuit inputs
+    are branched on and gate and output variables are forced as their
+    definitions become ground.  Every folded instance counts against
+    max_structures.  Each fold resolves the R applications that
+    `strings` answers (see fold_assign); sat_pi1 passes none."""
     out: dict[Formula, None] = {}
-    universals = frozenset(support)
+    universals = frozenset(uvars)
 
     def fold(g: Formula, env: dict[str, int]) -> Formula:
         counters["folds"] += 1
         if counters["folds"] > limits.max_structures:
-            raise _Budget("expansion exceeded max_structures")
+            raise BudgetExceeded("expansion exceeded max_structures")
         return fold_assign(g, env, strings)
 
     def leaf(g: Formula) -> None:
@@ -409,7 +399,7 @@ def _expand(
             return
         counters["strings"].update(k for k in key_set(g) if k[0] == "s")
         if len(counters["strings"]) > limits.max_oracle_strings:
-            raise _Budget("expansion exceeded max_oracle_strings")
+            raise BudgetExceeded("expansion exceeded max_oracle_strings")
 
     def visit(g: Formula, remaining: list[str]) -> None:
         if isinstance(g, Const):
@@ -422,8 +412,8 @@ def _expand(
         if not remaining:
             leaf(g)
             return
-        guard, bare = _guard_of(g)
-        settled = _force(guard, bare, universals, {}, strings)
+        guard = _guard_of(g)
+        settled = _force(guard, universals, {}, strings)
         if settled is None:
             return
         forced, guard = settled
@@ -435,14 +425,14 @@ def _expand(
         var = next((v for v in remaining if v not in defined), remaining[0])
         counters["branches"] += 1
         for bit in (0, 1):
-            settled = _force(guard, bare, universals, {var: bit}, strings)
+            settled = _force(guard, universals, {var: bit}, strings)
             if settled is None:
                 continue
             env = settled[0]
             counters["forced"] += len(env) - 1
             visit(fold(g, env), remaining)
 
-    visit(fold(conjunct, {}), list(support))
+    visit(fold(conjunct, {}), list(uvars))
     return list(out)
 
 
@@ -502,7 +492,7 @@ class _Engine:
     def _assign(self, key: str, bit: int, dirty: list[int]) -> None:
         if key[0] == "s":
             if self.max_strings is not None and len(self.strings) >= self.max_strings:
-                raise _Budget("solver exceeded max_oracle_strings")
+                raise BudgetExceeded("solver exceeded max_oracle_strings")
             self.strings[key[1:]] = bit
         else:
             self.atoms[key[1:]] = bit
@@ -623,15 +613,13 @@ def sat_pi1(f: Formula, limits: SolverLimits = DEFAULT_LIMITS) -> Pi1Result:
 
     try:
         for conjunct in flatten_and(matrix):
-            conjunct_free = free_atoms(conjunct)
-            support = [v for v in uvars if v in conjunct_free]
-            constraints.extend(_expand(conjunct, support, limits, counters))
+            constraints.extend(_expand(conjunct, uvars, limits, counters))
         solution = _solve_constraints(constraints, limits, counters)
-    except _Budget as exc:
+    except BudgetExceeded as exc:
         return Pi1Result(BUDGET_EXCEEDED, reason=str(exc), stats=stats())
     if solution is None:
         return Pi1Result(UNSAT, stats=stats())
-    witness = _witness(sorted(free_atoms(f)), *solution)
+    witness = _witness(sorted(atom_names_fast(matrix) - set(uvars)), *solution)
     return Pi1Result(SAT, witness=witness, stats=stats())
 
 
@@ -653,18 +641,17 @@ def holds_universally(
     """Exact check that a closed universally quantified formula holds in
     the given structure, via the pruning expansion (no sampling).  The
     expansion folds with the structure's oracle, so an instance
-    collapses as soon as its R arguments are constant."""
+    collapses as soon as its R arguments are constant.  Raises
+    BudgetExceeded when the expansion goes over `limits`."""
     if free_atoms(f):
         raise ValueError("holds_universally expects a closed formula")
     uvars, matrix = pull_universals(f)
     counters = _expansion_counters()
     answers = _Answers(structure.oracle)
     for conjunct in flatten_and(matrix):
-        conjunct_free = free_atoms(conjunct)
-        support = [v for v in uvars if v in conjunct_free]
         # f is closed and answers every string, so each instance folds
         # to a constant: the expansion is [] (all hold) or [FALSE]
-        if _expand(conjunct, support, limits, counters, answers):
+        if _expand(conjunct, uvars, limits, counters, answers):
             return False
     return True
 

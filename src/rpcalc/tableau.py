@@ -305,7 +305,9 @@ class _Builder:
 
         def sym_copy_with_head(next_state: str) -> Formula:
             parts = [iff(n_at(v), c_at(v)) for v in range(lay.s_bits)]
-            parts += self.assert_head_fields(n_at, next_state)
+            # the head arrives: its fields as assert_content pins them,
+            # after the symbol bits, which the cell keeps
+            parts += self.assert_content(n_at, BLANK, next_state, None)[lay.s_bits:]
             return and_all(parts)
 
         n_eq_c = and_all(iff(n_at(v), c_at(v)) for v in range(p.w))
@@ -320,14 +322,11 @@ class _Builder:
             else:
                 outcome = and_all(self.assert_content(n_at, tr.write, None, 0))
             here_cases.append(And(match_c, outcome))
-            match_l = self.match_content(l_at, symbol, state, choice)
-            left_cases.append(
-                And(match_l, sym_copy_with_head(tr.next_state) if tr.move == "R" else n_eq_c)
-            )
-            match_r = self.match_content(r_at, symbol, state, choice)
-            right_cases.append(
-                And(match_r, sym_copy_with_head(tr.next_state) if tr.move == "L" else n_eq_c)
-            )
+            # a head in the left neighbor arrives by moving R, one in
+            # the right neighbor by moving L
+            for at, arrives, cases in ((l_at, "R", left_cases), (r_at, "L", right_cases)):
+                nxt = sym_copy_with_head(tr.next_state) if tr.move == arrives else n_eq_c
+                cases.append(And(self.match_content(at, symbol, state, choice), nxt))
 
         conjuncts = [
             _guarded([time_ok, beta_t, has_c], or_all(here_cases)),
@@ -360,17 +359,6 @@ class _Builder:
             + [t_carry]
         )
         return all_vars, matrix
-
-    def assert_head_fields(self, atom_of, next_state: str) -> list[Formula]:
-        """Head arrives: flag set, state index pinned, choice free,
-        padding zero; symbol bits handled by the caller."""
-        lay = self.layout
-        parts: list[Formula] = [atom_of(lay.has_offset)]
-        for off, b in zip(lay.idx_offsets, index_bits(lay.state_index[next_state], lay.st_bits)):
-            parts.append(self._literal(atom_of(off), b))
-        for v in range(lay.used_bits, self.params.w):
-            parts.append(Not(atom_of(v)))
-        return parts
 
     # -- end -----------------------------------------------------------
 

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from genlib import first_symbol_one_machine, guess_branch_machine
 from rpcalc.cli import main
+from rpcalc.machines import load_machine
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -433,6 +435,14 @@ def test_compile_simulate_family_bench(tmp_path, capsys, data_dir):
     rows = out.strip().splitlines()
     assert rows[0] == "n\tlength\tratio"
     assert len(rows) == 3
+
+
+def test_shipped_samples_match_their_generators(capsys, data_dir):
+    code, out, _ = run_cli(capsys, "family", "wphp", "--n", "1")
+    assert code == 0
+    assert (data_dir / "formulas" / "wphp1.qpc").read_text() == out
+    for name, machine in (("first1", first_symbol_one_machine), ("guess", guess_branch_machine)):
+        assert load_machine((data_dir / "machines" / f"{name}.json").read_text()) == machine()
 
 
 def test_family_unknown(capsys):

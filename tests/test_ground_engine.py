@@ -196,7 +196,7 @@ class ReferenceSolver:
             return old == bit
         if key[0] == "s":
             if len(state.strings) >= self.limits.max_oracle_strings:
-                raise semantics._Budget("solver exceeded max_oracle_strings")
+                raise semantics.BudgetExceeded("solver exceeded max_oracle_strings")
             state.strings[key[1]] = bit
         else:
             state.atoms[key[1]] = bit

@@ -35,6 +35,7 @@ from rpcalc.semantics import (
     BUDGET_EXCEEDED,
     SAT,
     UNSAT,
+    BudgetExceeded,
     SolverLimits,
     Structure,
     UnsupportedShapeError,
@@ -89,6 +90,15 @@ def test_budget_exceeded_oracle_strings():
     r = sat_pi1(f, SolverLimits(max_oracle_strings=1))
     assert (r.status, r.reason) == (BUDGET_EXCEEDED, "solver exceeded max_oracle_strings")
     assert sat_pi1(f).status == SAT
+
+
+def test_exact_check_raises_on_budget():
+    # sat_pi1 turns the raise into BUDGET_EXCEEDED; the exact check has
+    # no answer to give, so the raise is its outcome
+    f = parse_formula("all x. all y. R(x, y) | ~R(y, x)")
+    with pytest.raises(BudgetExceeded, match="max_structures"):
+        holds_universally(f, Structure({}, frozenset()), SolverLimits(max_structures=1))
+    assert holds_universally(f, Structure({}, frozenset()))
 
 
 def test_unsupported_shape():
@@ -204,9 +214,9 @@ def test_structure_budget_bounds_expansion_time():
 def test_expansion_counters():
     r = sat_pi1(reparsed_compile(first_symbol_one_machine(), "10", 2), WIDE)
     assert r.status == SAT
-    assert set(r.stats) == {
-        "folds", "leaves", "forced", "branches", "ground_constraints",
-        "decisions", "conflicts", "units",
+    assert r.stats == {
+        "folds": 208, "leaves": 113, "forced": 853, "branches": 93, "ground_constraints": 113,
+        "decisions": 0, "conflicts": 0, "units": 256,
     }
     # branching on every gate and output variable took 4,369 expansion
     # calls; forcing them leaves a small fraction of that
@@ -217,9 +227,24 @@ def test_expansion_counters():
     assert r == semantics.Pi1Result(r.status, r.witness, r.reason)
 
 
-def naive_expand(conjunct, support, limits=None, counters=None):
+def test_gate_definitions_keep_a_gates_first_prefix_small():
+    # with the prefix reversed, gate and output variables come before the
+    # circuit inputs; branching skips the variables that a guard
+    # biconditional defines, so the expansion still folds 208 instances
+    # (branching in prefix order folds 595)
+    f = reparsed_compile(first_symbol_one_machine(), "10", 2)
+    uvars = []
+    while isinstance(f, Forall):
+        uvars.append(f.var)
+        f = f.body
+    r = sat_pi1(foralls(reversed(uvars), f), WIDE)
+    assert (r.status, r.stats["folds"], r.stats["branches"]) == (SAT, 208, 93)
+    assert r.witness == sat_pi1(foralls(uvars, f), WIDE).witness
+
+
+def naive_expand(conjunct, uvars, limits=None, counters=None):
     """Reference expansion: branch on every universal still occurring,
-    in support order, and drop the instances that fold to 1."""
+    in prefix order, and drop the instances that fold to 1."""
     out = []
 
     def rec(g, remaining):
@@ -235,18 +260,16 @@ def naive_expand(conjunct, support, limits=None, counters=None):
         for bit in (0, 1):
             rec(fold_assign(g, {remaining[0]: bit}), remaining[1:])
 
-    rec(fold_assign(conjunct, {}), list(support))
+    rec(fold_assign(conjunct, {}), list(uvars))
     return out
 
 
 def assert_expansions_agree(f):
     uvars, matrix = pull_universals(f)
     for conjunct in flatten_and(matrix):
-        conjunct_free = free_atoms(conjunct)
-        support = [v for v in uvars if v in conjunct_free]
         counters = semantics._expansion_counters()
-        fast = [format_formula(g) for g in semantics._expand(conjunct, support, WIDE, counters)]
-        slow = [format_formula(g) for g in naive_expand(conjunct, support)]
+        fast = [format_formula(g) for g in semantics._expand(conjunct, uvars, WIDE, counters)]
+        slow = [format_formula(g) for g in naive_expand(conjunct, uvars)]
         # each distinct constraint once, and exactly the reference's ones
         assert sorted(fast) == sorted(set(slow))
     expected = sat_pi1(f, WIDE)

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 
 from genlib import (
@@ -18,7 +21,7 @@ from rpcalc.semantics import (
     pull_universals,
     sat_pi1,
 )
-from rpcalc.syntax import length
+from rpcalc.syntax import format_formula, length
 from rpcalc.tableau import (
     EncodingError,
     EncodingParams,
@@ -49,6 +52,26 @@ def norm_first1(first1):
 @pytest.fixture(scope="module")
 def compiled_10(first1):
     return compile_with_info(first1, "10", 2)
+
+
+def test_compiled_text_is_byte_identical():
+    # every genlib machine on every input of length 0-4 at t = 1, 2, 3,
+    # pinned character for character, so a refactor of the builder
+    # cannot change a single compiled formula
+    digest = hashlib.sha256()
+    machines = (
+        first_symbol_one_machine,
+        guess_branch_machine,
+        reject_all_machine,
+        immediate_accept_machine,
+    )
+    for machine in machines:
+        for n in range(5):
+            for bits in itertools.product("01", repeat=n):
+                for t in (1, 2, 3):
+                    formula, _ = compile_with_info(machine(), "".join(bits), t)
+                    digest.update(format_formula(formula).encode() + b"\n")
+    assert digest.hexdigest() == "6d798a95c270e7e8b9717bffc02690f83364c1446df5045d68ad2a98ebe55a2a"
 
 
 def test_params_invariants(norm_first1):
