@@ -19,7 +19,6 @@ from .formulas import (
     RApp,
     Sequent,
     TRUE,
-    classify,
     cost,
     cost_sequent,
     free_atoms,
@@ -52,7 +51,6 @@ from .semantics import (
     sat_pi1,
     sequent_valid,
     valid_pc,
-    valid_q_bruteforce,
 )
 from .proofs import (
     CheckError,
@@ -65,7 +63,7 @@ from .proofs import (
     load_proof,
     max_line_length,
 )
-from .prover import ProveResult, ProverStats, premise_costs, prove
+from .prover import ProveResult, ProverStats, prove
 from .gprover import gprove
 from .machines import MachineSpec, Run, load_machine, normalize_machine, simulate
 from .tableau import (

@@ -20,6 +20,3 @@ K_E = {"E1": 7, "E2": 7, "E3": 9, "E4": 9}
 
 # Gate count of the one-hot index decoder is at most C_ALPHA * n.
 C_ALPHA = 4
-
-# Increment circuits use at most INC_GATE_FACTOR * m gates.
-INC_GATE_FACTOR = 5

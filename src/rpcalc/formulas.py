@@ -485,59 +485,6 @@ def substitute_all(f: Formula, env: dict[str, Formula]) -> Formula:
     return f if body is f.body else kind(f.var, body)
 
 
-_UNCLASSIFIABLE = "X"
-
-
-def _signatures(f: Formula, flipped: bool) -> frozenset[str]:
-    """Quantifier-alternation signatures of root-to-leaf paths, with
-    polarity: a quantifier under an odd number of negations flips kind.
-    Quantifiers inside R arguments are marked unclassifiable."""
-    if isinstance(f, (Atom, Const)):
-        return frozenset({""})
-    if isinstance(f, Not):
-        return _signatures(f.child, not flipped)
-    if isinstance(f, (And, Or)):
-        return _signatures(f.left, flipped) | _signatures(f.right, flipped)
-    if isinstance(f, RApp):
-        if all(is_quantifier_free(a) for a in f.args):
-            return frozenset({""})
-        return frozenset({_UNCLASSIFIABLE})
-    kind = "A" if isinstance(f, Forall) else "E"
-    if flipped:
-        kind = "E" if kind == "A" else "A"
-    out = set()
-    for sig in _signatures(f.body, flipped):
-        if sig == _UNCLASSIFIABLE:
-            out.add(sig)
-        elif sig.startswith(kind):
-            out.add(sig)
-        else:
-            out.add(kind + sig)
-    return frozenset(out)
-
-
-def classify(f: Formula) -> str:
-    """One of quantifier_free, pi1, sigma1, sigma2, other.
-
-    Classification is by prenexable shape: quantifiers reachable through
-    connectives count toward the prefix (negation flips their kind), so
-    e.g. a disjunction with a universally quantified disjunct is still
-    pi1-shaped.  Quantifiers inside R arguments are never prenexable.
-    """
-    sigs = {s for s in _signatures(f, False) if s != ""}
-    if not sigs:
-        return "quantifier_free"
-    if _UNCLASSIFIABLE in sigs:
-        return "other"
-    if sigs <= {"E"}:
-        return "sigma1"
-    if sigs <= {"A"}:
-        return "pi1"
-    if sigs <= {"E", "A", "EA"}:
-        return "sigma2"
-    return "other"
-
-
 _BITS = (FALSE, TRUE)
 
 

@@ -89,40 +89,42 @@ class MachineSpec:
             counts[key] = counts.get(key, 0) + 1
         return max(counts.values(), default=1)
 
-    def to_json(self) -> dict:
-        return {
-            "states": list(self.states),
-            "tape_alphabet": list(self.tape_alphabet),
-            "start": self.start_state,
-            "accept": sorted(self.accept_states),
-            "transitions": [
-                {
-                    "from": t.state,
-                    "read": t.read,
-                    "to": t.next_state,
-                    "write": t.write,
-                    "move": t.move,
-                }
-                for t in self.transitions
-            ],
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "MachineSpec":
         try:
             transitions = tuple(
-                Transition(t["from"], t["read"], t["to"], t["write"], t["move"])
+                Transition(
+                    *[_json_string(t[key], f"transition field {key!r}") for key in _TRANSITION_KEYS]
+                )
                 for t in data["transitions"]
             )
             return cls(
-                tuple(data["states"]),
-                tuple(data["tape_alphabet"]),
-                data["start"],
-                frozenset(data["accept"]),
+                _json_strings(data["states"], "states"),
+                _json_strings(data["tape_alphabet"], "tape_alphabet"),
+                _json_string(data["start"], "start"),
+                _json_strings(data["accept"], "accept"),
                 transitions,
             )
         except (KeyError, TypeError) as exc:
             raise MachineError(f"malformed machine description: {exc}")
+
+
+# JSON keys of a transition, in Transition's field order
+_TRANSITION_KEYS = ("from", "read", "to", "write", "move")
+
+
+def _json_string(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{field} must be a string")
+    return value
+
+
+def _json_strings(value, field: str) -> list[str]:
+    """A JSON list of strings; a bare string is rejected, not split into
+    its characters."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"{field} must be a list of strings")
+    return value
 
 
 def load_machine(text: str) -> MachineSpec:
@@ -131,12 +133,6 @@ def load_machine(text: str) -> MachineSpec:
     except json.JSONDecodeError as exc:
         raise MachineError(f"not valid JSON: {exc}")
     return MachineSpec.from_json(data)
-
-
-def dump_machine(m: MachineSpec) -> str:
-    """Inverse of load_machine.  Nothing in the package writes machine
-    files; it is kept for the round-trip test of the file format."""
-    return json.dumps(m.to_json(), indent=2, sort_keys=True)
 
 
 SWEEP_STATE = "q_sweep"

@@ -544,22 +544,6 @@ def move(p: Proof, side: str, src: int, dst: int) -> Proof:
 # counted sizes are 7, 7, 9, 9.
 
 
-def scheme_conclusion(which: str, a: Formula, before, after) -> Sequent:
-    before, after = tuple(before), tuple(after)
-    r_a = RApp(before + (a,) + after)
-    r_one = RApp(before + (Const(1),) + after)
-    r_zero = RApp(before + (Const(0),) + after)
-    if which == "E1":
-        return Sequent((a, r_a), (r_one,))
-    if which == "E2":
-        return Sequent((a, r_one), (r_a,))
-    if which == "E3":
-        return Sequent((r_a,), (a, r_zero))
-    if which == "E4":
-        return Sequent((r_zero,), (a, r_a))
-    raise ValueError(f"unknown scheme {which!r}")
-
-
 def derive_scheme(which: str, a: Formula, before=(), after=()) -> Proof:
     """Checker-accepted proof of the requested substitution scheme."""
     before, after = tuple(before), tuple(after)

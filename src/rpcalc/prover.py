@@ -300,13 +300,6 @@ def decompose(
     raise NotDecomposableError(f"formula at {side} {idx} is not decomposable")
 
 
-def premise_costs(s: Sequent, side: str, idx: int) -> list[int]:
-    """Costs of the premise sequents the prover would generate for the
-    decomposition target at (side, idx)."""
-    prems, _ = decompose(s, side, idx, {})
-    return [cost_sequent(p) for p in prems]
-
-
 def _base_counterexample(s: Sequent) -> Structure:
     atoms: dict[str, int] = {}
     oracle: set[str] = set()

@@ -49,7 +49,6 @@ from .formulas import (
     key_set,
     or_all,
     substitute_all,
-    walk,
 )
 
 
@@ -656,36 +655,5 @@ def holds_universally(
     return True
 
 
-def rapp_arities(f: Formula) -> set[int]:
-    return {len(g.args) for g in walk(f) if isinstance(g, RApp)}
-
-
 def all_strings(m: int) -> list[str]:
     return ["".join(bits) for bits in itertools.product("01", repeat=m)]
-
-
-def enumerate_oracles(m: int) -> Iterable[frozenset[str]]:
-    """All subsets of {0,1}^m in a fixed deterministic order."""
-    strings = all_strings(m)
-    for mask in range(1 << len(strings)):
-        yield frozenset(s for j, s in enumerate(strings) if mask >> j & 1)
-
-
-def valid_q_bruteforce(f: Formula, max_arity: int = 4) -> int:
-    """Validity of a closed formula by enumerating every oracle over
-    {0,1}^m, where m is the common arity of all R applications."""
-    if free_atoms(f):
-        raise ValueError("valid_q_bruteforce expects a closed formula")
-    arities = rapp_arities(f)
-    if len(arities) > 1:
-        raise ValueError(f"mixed R arities {sorted(arities)} are not supported")
-    if not arities:
-        return eval_formula(f, EMPTY_STRUCTURE)
-    (m,) = arities
-    if m > max_arity:
-        raise ValueError(f"R arity {m} exceeds max_arity {max_arity}")
-    for oracle in enumerate_oracles(m):
-        if eval_formula(f, Structure({}, oracle)) == 0:
-            return 0
-    return 1
-

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Optional
 
 from rpcalc.formulas import (
     And,
@@ -18,11 +19,13 @@ from rpcalc.formulas import (
     Sequent,
     cost_sequent,
     free_atoms,
+    is_quantifier_free,
     node_count,
     walk,
 )
-from rpcalc.machines import MachineSpec, Transition
-from rpcalc.semantics import Structure, eval_formula, pull_universals, sequent_valid
+from rpcalc.machines import Config, MachineSpec, Run, Transition
+from rpcalc.semantics import Structure, all_strings, eval_formula, pull_universals, sequent_valid
+from rpcalc.tableau import EncodingParams, _Layout, index_string
 
 ATOMS = ("p", "q", "r", "s")
 
@@ -152,22 +155,122 @@ def naive_holds_universally(f: Formula, structure: Structure) -> bool:
     return True
 
 
-def brute_sat_q(f: Formula, max_arity: int = 4):
-    """Reference satisfiability of a closed formula by enumerating every
-    oracle over the (single) R arity."""
-    from rpcalc.semantics import EMPTY_STRUCTURE, enumerate_oracles, rapp_arities
+def rapp_arities(f: Formula) -> set[int]:
+    return {len(g.args) for g in walk(f) if isinstance(g, RApp)}
 
-    assert not free_atoms(f)
+
+def brute_sat_q(f: Formula, max_arity: int = 4) -> Optional[Structure]:
+    """Reference satisfiability of a closed formula, the paper's guess and
+    verify: try every oracle over {0,1}^m, where m is the common arity of
+    all R applications, in a fixed order and return the first that
+    satisfies f.  So f is valid iff brute_sat_q(Not(f)) is None.  Raises
+    ValueError on free atoms, mixed arities or an arity above max_arity."""
+    if free_atoms(f):
+        raise ValueError("brute_sat_q expects a closed formula")
     arities = rapp_arities(f)
-    if not arities:
-        return EMPTY_STRUCTURE if eval_formula(f, EMPTY_STRUCTURE) else None
-    (m,) = arities
-    assert m <= max_arity
-    for oracle in enumerate_oracles(m):
-        tau = Structure({}, oracle)
+    if len(arities) > 1:
+        raise ValueError(f"mixed R arities {sorted(arities)} are not supported")
+    m = max(arities, default=0)
+    if m > max_arity:
+        raise ValueError(f"R arity {m} exceeds max_arity {max_arity}")
+    strings = all_strings(m)
+    for mask in range(1 << len(strings)):
+        tau = Structure({}, frozenset(s for j, s in enumerate(strings) if mask >> j & 1))
         if eval_formula(f, tau) == 1:
             return tau
     return None
+
+
+_UNCLASSIFIABLE = "X"
+
+
+def _signatures(f: Formula, flipped: bool) -> frozenset[str]:
+    """Quantifier-alternation signatures of root-to-leaf paths, with
+    polarity: a quantifier under an odd number of negations flips kind.
+    Quantifiers inside R arguments are marked unclassifiable."""
+    if isinstance(f, (Atom, Const)):
+        return frozenset({""})
+    if isinstance(f, Not):
+        return _signatures(f.child, not flipped)
+    if isinstance(f, (And, Or)):
+        return _signatures(f.left, flipped) | _signatures(f.right, flipped)
+    if isinstance(f, RApp):
+        if all(is_quantifier_free(a) for a in f.args):
+            return frozenset({""})
+        return frozenset({_UNCLASSIFIABLE})
+    kind = "A" if isinstance(f, Forall) else "E"
+    if flipped:
+        kind = "E" if kind == "A" else "A"
+    out = set()
+    for sig in _signatures(f.body, flipped):
+        if sig == _UNCLASSIFIABLE:
+            out.add(sig)
+        elif sig.startswith(kind):
+            out.add(sig)
+        else:
+            out.add(kind + sig)
+    return frozenset(out)
+
+
+def classify(f: Formula) -> str:
+    """Reference shape of a formula, independent of the solver's
+    pull_universals: one of quantifier_free, pi1, sigma1, sigma2, other.
+
+    Classification is by prenexable shape: quantifiers reachable through
+    connectives count toward the prefix (negation flips their kind), so
+    e.g. a disjunction with a universally quantified disjunct is still
+    pi1-shaped.  Quantifiers inside R arguments are never prenexable.
+    """
+    sigs = {s for s in _signatures(f, False) if s != ""}
+    if not sigs:
+        return "quantifier_free"
+    if _UNCLASSIFIABLE in sigs:
+        return "other"
+    if sigs <= {"E"}:
+        return "sigma1"
+    if sigs <= {"A"}:
+        return "pi1"
+    if sigs <= {"E", "A", "EA"}:
+        return "sigma2"
+    return "other"
+
+
+def decode_run(machine: MachineSpec, structure: Structure, enc: EncodingParams) -> Run:
+    """Inverse of tableau.witness_structure: the configuration that the
+    oracle's tableau holds at each time 0..2^t - 1, and the choice taken
+    at each step.  A Config's tape lists all 2^m cells, trailing blanks
+    included.  A choice is reduced modulo the number of transitions that
+    apply, as the step constraint reads it.  Raises ValueError when a
+    time has other than one head, or a cell an unknown symbol or state."""
+    layout = _Layout(machine)
+    symbols = {code: s for s, code in layout.sym_code.items()}
+    cells = range(1 << enc.m)
+
+    def number(cell: int, offsets, time: int) -> int:
+        return sum(
+            1 << i
+            for i, offset in enumerate(offsets)
+            if index_string(enc, cell, offset, time) in structure.oracle
+        )
+
+    configs: list[Config] = []
+    choices: list[int] = []
+    for time in range(enc.horizon):
+        codes = [number(cell, range(layout.s_bits), time) for cell in cells]
+        if any(code not in symbols for code in codes):
+            raise ValueError(f"time {time}: unknown symbol code in {codes}")
+        heads = [cell for cell in cells if number(cell, (layout.has_offset,), time)]
+        if len(heads) != 1:
+            raise ValueError(f"time {time}: {len(heads)} heads, expected one")
+        (head,) = heads
+        index = number(head, layout.idx_offsets, time)
+        if index >= len(machine.states):
+            raise ValueError(f"time {time}: unknown state index {index}")
+        config = Config(machine.states[index], head, tuple(symbols[code] for code in codes))
+        options = machine.delta(config.state, config.symbol_at(head))
+        configs.append(config)
+        choices.append(number(head, layout.ch_offsets, time) % max(1, len(options)))
+    return Run(tuple(configs), tuple(choices[:-1]))
 
 
 _VALID_TEMPLATE_BODIES = (

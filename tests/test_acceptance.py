@@ -37,7 +37,7 @@ from rpcalc.formulas import (
 from rpcalc.gprover import PROVED, gprove
 from rpcalc.machines import normalize_machine, simulate
 from rpcalc.proofs import check_g, check_pk, counted_size, derive_scheme
-from rpcalc.prover import premise_costs, prove
+from rpcalc.prover import decompose, prove
 from rpcalc.semantics import (
     UNSAT,
     SolverLimits,
@@ -47,7 +47,6 @@ from rpcalc.semantics import (
     holds_universally,
     sat_pc,
     valid_pc,
-    valid_q_bruteforce,
     validity_formula,
 )
 from rpcalc.syntax import format_formula, parse_formula, parse_sequent, sequent_length
@@ -116,7 +115,8 @@ def test_criterion_4_prover_bounds():
         for side, cedent in (("succ", s.succedent), ("ante", s.antecedent)):
             for i, f in enumerate(cedent):
                 if isinstance(f, RApp) and any(not isinstance(a, Const) for a in f.args):
-                    assert premise_costs(s, side, i) == [c - 1, c - 1]
+                    premises, _ = decompose(s, side, i, {})
+                    assert [cost_sequent(p) for p in premises] == [c - 1, c - 1]
                     r_positions += 1
     assert r_positions > 0
     report(
@@ -158,7 +158,7 @@ def test_criterion_6_quantified_prover():
 
 
 def test_criterion_7_pigeonhole():
-    assert valid_q_bruteforce(weak_pigeonhole(1), 3) == 1
+    assert brute_sat_q(Not(weak_pigeonhole(1)), max_arity=3) is None
     f2 = weak_pigeonhole(2)
     rng = random.Random(1007)
     space = all_strings(6)

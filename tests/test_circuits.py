@@ -14,9 +14,12 @@ from rpcalc.circuits import (
     increment_circuit,
     index_bits,
 )
-from rpcalc.constants import C_ALPHA, INC_GATE_FACTOR
+from rpcalc.constants import C_ALPHA
 from rpcalc.semantics import Structure, eval_formula
 from rpcalc.syntax import format_formula, length, parse_formula
+
+# Increment circuits use at most INC_GATE_FACTOR * m gates.
+INC_GATE_FACTOR = 5
 
 
 def test_decoder_base_case_is_the_input():

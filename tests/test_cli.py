@@ -177,6 +177,9 @@ ERROR_FILES = {
     ),
     "machine.json": "{}",
     "no_bits.json": NO_BITS_MACHINE,
+    # a string where a list of strings belongs, not split into characters
+    "alphabet_text.json": NO_BITS_MACHINE.replace('["_", ">"]', '"_>01"'),
+    "accept_text.json": NO_BITS_MACHINE.replace('["qacc"]', '"qacc"'),
 }
 
 _MISSING = "[Errno 2] No such file or directory"
@@ -288,6 +291,14 @@ ERROR_TABLE = {
         ["simulate", "{d}/bad.json", "--input", "1", "--max-steps", "3"], 2, "",
         "error: {d}/bad.json: not valid JSON: Expecting property name enclosed in double quotes: "
         "line 1 column 2 (char 1)\n",
+    ),
+    "simulate-alphabet-text": (
+        ["simulate", "{d}/alphabet_text.json", "--input", "1", "--max-steps", "3"], 2, "",
+        "error: {d}/alphabet_text.json: malformed machine description: tape_alphabet must be a list of strings\n",
+    ),
+    "simulate-accept-text": (
+        ["simulate", "{d}/accept_text.json", "--input", "1", "--max-steps", "3"], 2, "",
+        "error: {d}/accept_text.json: malformed machine description: accept must be a list of strings\n",
     ),
     "family-unknown": (["family", "iter", "--n", "2"], 2, "", "error: unknown family 'iter' (available: wphp)\n"),
     "family-n": (["family", "wphp", "--n", "0"], 2, "", "error: need n >= 1\n"),

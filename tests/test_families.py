@@ -2,16 +2,10 @@ import random
 
 import pytest
 
+from genlib import brute_sat_q, classify, rapp_arities
 from rpcalc.families import weak_pigeonhole
-from rpcalc.formulas import classify
-from rpcalc.semantics import (
-    EMPTY_STRUCTURE,
-    Structure,
-    all_strings,
-    eval_formula,
-    rapp_arities,
-    valid_q_bruteforce,
-)
+from rpcalc.formulas import Not
+from rpcalc.semantics import EMPTY_STRUCTURE, Structure, all_strings, eval_formula
 from rpcalc.syntax import length
 
 
@@ -27,7 +21,7 @@ def test_empty_oracle_satisfies():
 
 
 def test_n1_valid_by_exhaustive_enumeration():
-    assert valid_q_bruteforce(weak_pigeonhole(1), 3) == 1
+    assert brute_sat_q(Not(weak_pigeonhole(1)), max_arity=3) is None
 
 
 def test_n2_on_random_structures():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from genlib import random_ast, random_flat_formula
+from genlib import classify, random_ast, random_flat_formula
 from rpcalc import formulas, semantics
 from rpcalc.formulas import (
     And,
@@ -22,7 +22,6 @@ from rpcalc.formulas import (
     RApp,
     Sequent,
     and_all,
-    classify,
     cost,
     cost_sequent,
     free_atoms,

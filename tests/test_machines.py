@@ -12,10 +12,8 @@ from rpcalc.machines import (
     Run,
     Transition,
     check_run,
-    dump_machine,
     initial_config,
     is_normalized,
-    load_machine,
     normalize_machine,
     simulate,
 )
@@ -48,11 +46,6 @@ def test_validation_rules():
             frozenset(),
             (Transition("q", "_", "q", ">", "S"),),  # writes a fresh marker
         )
-
-
-def test_json_roundtrip():
-    m = first_symbol_one_machine()
-    assert load_machine(dump_machine(m)) == m
 
 
 def test_simulation_finds_shortest_accepting_run():

@@ -44,7 +44,6 @@ from rpcalc.semantics import (
     pull_universals,
     sat_pc,
     sat_pi1,
-    valid_q_bruteforce,
 )
 from rpcalc.syntax import format_formula, parse_formula
 from rpcalc.tableau import compile_with_info
@@ -163,7 +162,7 @@ def test_agreement_with_brute_force_suite():
         checked += 1
         if fast.status == SAT:
             # valid formulas must also come out satisfiable
-            if valid_q_bruteforce(f, 3) == 1:
+            if brute_sat_q(Not(f), max_arity=3) is None:
                 assert slow is not None
     assert checked >= 80
 
@@ -184,7 +183,7 @@ def test_validity_cross_check_via_negated_expansion():
         for bits in itertools.product((0, 1), repeat=len(uvars)):
             disjuncts.append(Not(fold_assign(matrix, dict(zip(uvars, bits)))))
         negated_expansion = or_all(disjuncts)
-        assert (valid_q_bruteforce(f, 3) == 1) == (sat_pc(negated_expansion) is None)
+        assert (brute_sat_q(Not(f), max_arity=3) is None) == (sat_pc(negated_expansion) is None)
 
 
 def test_sat_witness_verifies_exhaustively():

@@ -22,7 +22,6 @@ from rpcalc.proofs import (
     dump_proof,
     load_proof,
     max_line_length,
-    scheme_conclusion,
     weak_l,
     weak_r,
 )
@@ -157,6 +156,24 @@ def test_pad_matches_the_counting_reference():
         padded = proofs.pad(start, Sequent(ante, succ), keep_ante, keep_succ)
         assert padded.conclusion == Sequent(ante, succ)
         assert padded == expected
+
+
+def scheme_conclusion(which: str, a, before, after) -> Sequent:
+    """The sequent that substitution scheme `which` derives, stated
+    apart from derive_scheme."""
+    before, after = tuple(before), tuple(after)
+    r_a = RApp(before + (a,) + after)
+    r_one = RApp(before + (Const(1),) + after)
+    r_zero = RApp(before + (Const(0),) + after)
+    if which == "E1":
+        return Sequent((a, r_a), (r_one,))
+    if which == "E2":
+        return Sequent((a, r_one), (r_a,))
+    if which == "E3":
+        return Sequent((r_a,), (a, r_zero))
+    if which == "E4":
+        return Sequent((r_zero,), (a, r_a))
+    raise ValueError(f"unknown scheme {which!r}")
 
 
 def test_scheme_conclusions_and_sizes():

@@ -12,7 +12,7 @@ from rpcalc import prover
 from rpcalc.gprover import gprove
 from rpcalc.constants import D_LINES, E_LINE_FACTOR
 from rpcalc.formulas import RApp, Sequent, cost_sequent
-from rpcalc.prover import NotDecomposableError, premise_costs, prove
+from rpcalc.prover import NotDecomposableError, decompose, prove
 from rpcalc.proofs import check_pk, dump_proof
 from rpcalc.semantics import eval_formula, sequent_valid, validity_formula
 from rpcalc.syntax import parse_formula, parse_sequent, sequent_length
@@ -56,20 +56,24 @@ def test_duplicate_formulas_preserved():
 
 
 def test_premise_costs_examples():
-    assert premise_costs(parse_sequent("|- R(p)"), "succ", 0) == [0, 0]
-    assert premise_costs(parse_sequent("|- p & p"), "succ", 0) == [0, 0]
+    # the costs of the premises the prover generates at a position
+    premises, _ = decompose(parse_sequent("|- R(p)"), "succ", 0, {})
+    assert [cost_sequent(p) for p in premises] == [0, 0]
+    premises, _ = decompose(parse_sequent("|- p & p"), "succ", 0, {})
+    assert [cost_sequent(p) for p in premises] == [0, 0]
     # R(p & q): one connective plus one nontrivial argument = cost 2;
     # both premises sit at cost 1.
     s = parse_sequent("R(p & q) |-")
     assert cost_sequent(s) == 2
-    assert premise_costs(s, "ante", 0) == [1, 1]
+    premises, _ = decompose(s, "ante", 0, {})
+    assert [cost_sequent(p) for p in premises] == [1, 1]
 
 
 def test_premise_costs_error():
     with pytest.raises(NotDecomposableError):
-        premise_costs(parse_sequent("p |- q"), "ante", 0)
+        decompose(parse_sequent("p |- q"), "ante", 0, {})
     with pytest.raises(NotDecomposableError):
-        premise_costs(parse_sequent("|- R(0, 1)"), "succ", 0)
+        decompose(parse_sequent("|- R(0, 1)"), "succ", 0, {})
 
 
 def test_connective_premises_strictly_cheaper():
@@ -83,9 +87,10 @@ def test_connective_premises_strictly_cheaper():
         for side, cedent in (("succ", s.succedent), ("ante", s.antecedent)):
             for i, f in enumerate(cedent):
                 try:
-                    drops = premise_costs(s, side, i)
+                    premises, _ = decompose(s, side, i, {})
                 except NotDecomposableError:
                     continue
+                drops = [cost_sequent(p) for p in premises]
                 if isinstance(f, RApp):
                     assert drops == [total - 1, total - 1]
                 else:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from genlib import naive_sat_flat, random_flat_formula
+from genlib import brute_sat_q, naive_sat_flat, random_flat_formula
 from rpcalc.formulas import Atom, Const, Not, RApp
 from rpcalc.semantics import (
     EMPTY_STRUCTURE,
@@ -14,7 +14,6 @@ from rpcalc.semantics import (
     sat_pc,
     sequent_valid,
     valid_pc,
-    valid_q_bruteforce,
 )
 from rpcalc.syntax import parse_formula, parse_sequent
 
@@ -194,11 +193,12 @@ def _atoms(f):
 
 
 def test_brute_force_validity():
-    assert valid_q_bruteforce(parse_formula("ex x. (R(x) | ~R(x))")) == 1
-    assert valid_q_bruteforce(parse_formula("all x. R(x)")) == 0
+    # f is valid iff its negation has no satisfying oracle
+    assert brute_sat_q(Not(parse_formula("ex x. (R(x) | ~R(x))"))) is None
+    assert brute_sat_q(Not(parse_formula("all x. R(x)"))) is not None
     with pytest.raises(ValueError):
-        valid_q_bruteforce(parse_formula("all x. R(x) & R(x, x)"))
+        brute_sat_q(parse_formula("all x. R(x) & R(x, x)"))
     with pytest.raises(ValueError):
-        valid_q_bruteforce(parse_formula("R(p)"))
+        brute_sat_q(parse_formula("R(p)"))
     # no oracle applications at all: plain evaluation
-    assert valid_q_bruteforce(parse_formula("all x. x | ~x")) == 1
+    assert brute_sat_q(Not(parse_formula("all x. x | ~x"))) is None

@@ -4,14 +4,17 @@ import itertools
 import pytest
 
 from genlib import (
+    classify,
+    decode_run,
     first_symbol_one_machine,
     guess_branch_machine,
     immediate_accept_machine,
     naive_holds_universally,
+    rapp_arities,
     reject_all_machine,
 )
 from rpcalc.formulas import Forall, RApp, walk
-from rpcalc.machines import Run, initial_config, normalize_machine, simulate
+from rpcalc.machines import Run, initial_config, normalize_machine, simulate, step_options
 from rpcalc.semantics import (
     SAT,
     UNSAT,
@@ -34,7 +37,6 @@ from rpcalc.tableau import (
     index_string,
     witness_structure,
 )
-from rpcalc import classify
 
 LIMITS = SolverLimits(max_universal_vars=64, max_oracle_strings=1 << 16, max_structures=1 << 22)
 
@@ -86,8 +88,7 @@ def test_params_invariants(norm_first1):
 def test_classification_and_arity(compiled_10):
     formula, info = compiled_10
     assert classify(formula) == "pi1"
-    arities = {len(g.args) for g in walk(formula) if isinstance(g, RApp)}
-    assert arities == {info.params.arity}
+    assert rapp_arities(formula) == {info.params.arity}
 
 
 def test_no_stray_universal_variables(compiled_10):
@@ -156,8 +157,7 @@ def test_witness_satisfies_step_and_mutation_breaks_it(norm_first1):
 def test_step_atoms_share_one_arity(norm_first1):
     enc = default_params(norm_first1, 2, 2)
     step = build_I(norm_first1, enc)
-    arities = {len(g.args) for g in walk(step) if isinstance(g, RApp)}
-    assert arities == {enc.arity}
+    assert rapp_arities(step) == {enc.arity}
 
 
 def test_end_constant_size_and_requires_normalization(first1, norm_first1):
@@ -221,10 +221,29 @@ def test_witness_satisfies_full_matrix(compiled_10, norm_first1):
     assert holds_universally(formula, witness, LIMITS)
 
 
+def assert_model_is_accepting_run(formula, info, x):
+    """sat_pi1 finds a model of the compiled formula, and the model
+    decodes to a run that replays from the initial configuration
+    through step_options and ends in an accepting state."""
+    result = sat_pi1(formula, LIMITS)
+    assert result.status == SAT
+    machine = info.machine
+    run = decode_run(machine, result.witness, info.params)
+    cells = range(1 << info.params.m)
+    config = initial_config(machine, x)
+    for time, decoded in enumerate(run.configs):
+        assert (decoded.state, decoded.head) == (config.state, config.head), time
+        # a Config tape leaves out the trailing blanks the tableau holds
+        assert [decoded.symbol_at(c) for c in cells] == [config.symbol_at(c) for c in cells], time
+        if time < len(run.choices):
+            config = dict(step_options(machine, config))[run.choices[time]]
+    assert config.state in machine.accept_states
+
+
 def test_sat_pi1_cross_validation(first1):
     assert sat_pi1(compile_machine(first1, "00", 1), LIMITS).status == UNSAT
-    result = sat_pi1(compile_machine(first1, "10", 2), LIMITS)
-    assert result.status == SAT
+    formula, info = compile_with_info(first1, "10", 2)
+    assert_model_is_accepting_run(formula, info, "10")
 
 
 def test_reject_machine_unsat():
@@ -238,7 +257,7 @@ def test_immediate_accept_empty_input():
     run = simulate(norm, "", 4)
     witness = witness_structure(norm, "", run, info.params)
     assert holds_universally(formula, witness, LIMITS)
-    assert sat_pi1(formula, LIMITS).status == SAT
+    assert_model_is_accepting_run(formula, info, "")
 
 
 def test_nondeterministic_machine_end_to_end():
@@ -249,9 +268,10 @@ def test_nondeterministic_machine_end_to_end():
     run = simulate(norm, "1", 8)
     witness = witness_structure(norm, "1", run, info.params)
     assert holds_universally(formula, witness, LIMITS)
+    assert_model_is_accepting_run(formula, info, "1")
     # input '0' forces the solver to abandon the first guess and take
     # the second branch
-    assert sat_pi1(compile_machine(machine, "0", 2), LIMITS).status == SAT
+    assert_model_is_accepting_run(*compile_with_info(machine, "0", 2), "0")
 
 
 def test_three_way_branching():
@@ -278,7 +298,7 @@ def test_three_way_branching():
     formula, info = compile_with_info(m3, "1", 2)
     witness = witness_structure(norm, "1", run, info.params)
     assert holds_universally(formula, witness, LIMITS)
-    assert sat_pi1(formula, LIMITS).status == SAT
+    assert_model_is_accepting_run(formula, info, "1")
     assert sat_pi1(compile_machine(m3, "0", 2), LIMITS).status == UNSAT
 
 
