@@ -96,13 +96,13 @@ class MachineSpec:
                 Transition(
                     *[_json_string(t[key], f"transition field {key!r}") for key in _TRANSITION_KEYS]
                 )
-                for t in data["transitions"]
+                for t in _json_list(data["transitions"], "transitions", dict)
             )
             return cls(
-                _json_strings(data["states"], "states"),
-                _json_strings(data["tape_alphabet"], "tape_alphabet"),
+                _json_list(data["states"], "states", str),
+                _json_list(data["tape_alphabet"], "tape_alphabet", str),
                 _json_string(data["start"], "start"),
-                _json_strings(data["accept"], "accept"),
+                _json_list(data["accept"], "accept", str),
                 transitions,
             )
         except (KeyError, TypeError) as exc:
@@ -119,11 +119,11 @@ def _json_string(value, field: str) -> str:
     return value
 
 
-def _json_strings(value, field: str) -> list[str]:
-    """A JSON list of strings; a bare string is rejected, not split into
-    its characters."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TypeError(f"{field} must be a list of strings")
+def _json_list(value, field: str, kind: type) -> list:
+    """A JSON list of strings (kind str) or objects (kind dict); a bare
+    string or an object is rejected, not iterated."""
+    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+        raise TypeError(f"{field} must be a list of {'strings' if kind is str else 'objects'}")
     return value
 
 

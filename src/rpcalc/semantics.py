@@ -8,14 +8,15 @@ vectors evaluate to the same string share one choice).  The pi1 solver
 expands the universal prefix, forcing the universals that a guard fixes
 instead of branching on them.  One ground engine, unit propagation with
 chronological backtracking on an undo trail, serves sat_pc, valid_pc,
-sequent_valid and sat_pi1.  sat_pc decides the sorted atoms, then the
-strings as the formula's short-circuit evaluation queries them; sat_pi1
-decides the least unassigned key, sorted atoms before sorted strings.
-Both try 0 first and return the first witness in that order.  The
-expansion and the engine fold with formulas.fold_assign, the engine
-also resolving the strings it has assigned.  holds_universally is the
-witness check: it decides exactly, through the same expansion, whether
-a structure satisfies a closed pi1 formula.
+sequent_valid and sat_pi1 with one branch rule: decide the least
+unassigned key, sorted atoms before sorted strings, 0 before 1.  So
+sat_pc and sat_pi1 return the same witness for a quantifier-free
+formula, the first one in that order.  The expansion and the engine
+fold with formulas.fold_assign, the engine also resolving the strings
+it has assigned.  Only eval_formula runs _eval, the independent
+evaluator.  holds_universally is the witness check: it decides exactly,
+through the same expansion, whether a structure satisfies a closed pi1
+formula.
 """
 
 from __future__ import annotations
@@ -156,31 +157,16 @@ def sat_pc(f: Formula) -> Optional[Structure]:
     """Certificate search for quantifier-free formulas.
 
     Returns a witness structure whose oracle lists exactly the strings
-    chosen in, or None when unsatisfiable.  Deterministic: atoms are
-    decided in sorted order with 0 before 1, then each string in the
-    order the short-circuit evaluation of f queries it, out-of-oracle
-    first.  Propagation only skips branches without a solution, so the
-    witness is the first one in that order.
+    chosen in, or None when unsatisfiable.  The engine's one branch rule
+    (see _Engine) fixes the witness: the first in the order of sorted
+    atoms before sorted strings, 0 before 1, the same one sat_pi1 gives.
     """
     if not is_quantifier_free(f):
         raise ValueError("sat_pc expects a quantifier-free formula")
-    names = sorted(atom_names_fast(f))
-    atom_keys = ["a" + name for name in names]
-
-    def branch(engine: _Engine) -> str:
-        for key in atom_keys:
-            if key not in engine.values:
-                return key
-        try:
-            _eval(f, engine.atoms, engine.strings.__getitem__)
-        except KeyError as unknown:  # the first string not yet assigned
-            return "s" + unknown.args[0]
-        raise AssertionError("a live part leaves no queried string unassigned")
-
-    engine = _Engine(_opened_conjuncts(f), branch)
+    engine = _Engine(_opened_conjuncts(f))
     if not engine.solve():
         return None
-    return _witness(names, engine.atoms, engine.strings)
+    return _witness(sorted(atom_names_fast(f)), engine.atoms, engine.strings)
 
 
 def _opened_conjuncts(f: Formula) -> list[Formula]:
@@ -459,12 +445,12 @@ class _Engine:
     its conjuncts become new parts or units.  The trail records the
     assignments and dead parts; backtracking undoes it to a mark and
     pops the newer parts and their watch entries in LIFO order, copying
-    nothing.  `branch(engine)` names the next key to decide, 0 before 1;
-    it is all that differs between callers.  max_strings bounds the
-    assigned strings."""
+    nothing.  There is one branch rule, _least_key, with 0 tried before
+    1, so every caller gets the first witness in the order of sorted
+    atoms before sorted strings.  max_strings bounds the assigned
+    strings."""
 
-    def __init__(self, constraints: list[Formula], branch: Callable, max_strings: Optional[int] = None):
-        self.branch = branch
+    def __init__(self, constraints: list[Formula], max_strings: Optional[int] = None):
         self.max_strings = max_strings
         self.atoms: dict[str, int] = {}
         self.strings: dict[str, int] = {}
@@ -542,6 +528,12 @@ class _Engine:
                 self.watch[key].pop()
         del self.parts[parts_mark:], self.keys[parts_mark:], self.live[parts_mark:]
 
+    def _least_key(self) -> str:
+        """The branch rule: the least unassigned key of the live parts.
+        After propagation no live part holds an assigned key, and each
+        part's keys are sorted, so that is the least first key."""
+        return min(keys[0] for keys in itertools.compress(self.keys, self.live))
+
     def solve(self) -> bool:
         """Search for an assignment making every constraint 1 and keep it."""
         path: list[tuple[str, int, int, int]] = []  # key, bit, trail and parts marks
@@ -550,7 +542,7 @@ class _Engine:
             if self._propagate(dirty):
                 if not any(self.live):
                     return True
-                key, bit, marks = self.branch(self), 0, (len(self.trail), len(self.parts))
+                key, bit, marks = self._least_key(), 0, (len(self.trail), len(self.parts))
             else:  # flip the deepest decision still at 0
                 while path and path[-1][1] == 1:
                     path.pop()
@@ -571,17 +563,10 @@ def _witness(names: Iterable[str], atoms: dict[str, int], strings: dict[str, int
     return Structure(assignment, frozenset(s for s, bit in strings.items() if bit == 1))
 
 
-def _least_key(engine: _Engine) -> str:
-    """sat_pi1's branch rule: the least unassigned key of the live parts.
-    After propagation no live part holds an assigned key, and each
-    part's keys are sorted, so that is the least first key."""
-    return min(keys[0] for keys in itertools.compress(engine.keys, engine.live))
-
-
 def _solve_constraints(constraints: list[Formula], limits: SolverLimits, counters: dict):
     """sat_pi1's ground solve: the atom and string assignments, or None.
     Adds the engine's counters to `counters` in any case."""
-    engine = _Engine(constraints, _least_key, limits.max_oracle_strings)
+    engine = _Engine(constraints, limits.max_oracle_strings)
     try:
         found = engine.solve()
     finally:

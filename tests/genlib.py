@@ -122,11 +122,13 @@ def random_quantified_sequents(seed: int, count: int, max_nodes: int = 24) -> li
 def naive_sat_flat(f: Formula):
     """Reference satisfiability: enumerate atom assignments times all
     subsets of the strings actually queried under each assignment.  Only
-    sound when R arguments are R-free, which the flat generator ensures."""
+    sound when R arguments are R-free, which the flat generator ensures;
+    raises ValueError otherwise."""
     occurrences = [g for g in walk(f) if isinstance(g, RApp)]
     for occ in occurrences:
         for arg in occ.args:
-            assert not any(isinstance(h, RApp) for h in walk(arg)), "flat formulas only"
+            if any(isinstance(h, RApp) for h in walk(arg)):
+                raise ValueError("naive_sat_flat expects R arguments without R")
     atoms = sorted(free_atoms(f))
     empty = frozenset()
     for bits in itertools.product((0, 1), repeat=len(atoms)):

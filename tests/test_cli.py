@@ -33,10 +33,21 @@ def run_module(*argv, **env_vars) -> subprocess.CompletedProcess:
 
 
 # a valid machine whose alphabet cannot hold a nonempty binary input
-NO_BITS_MACHINE = json.dumps({
+NO_BITS = {
     "accept": ["qacc"], "start": "q0", "states": ["q0", "qacc"], "tape_alphabet": ["_", ">"],
     "transitions": [{"from": "q0", "move": "R", "read": ">", "to": "qacc", "write": ">"}],
-})
+}
+NO_BITS_MACHINE = json.dumps(NO_BITS)
+
+
+def no_bits_with(**fields) -> str:
+    """NO_BITS_MACHINE with some fields replaced."""
+    return json.dumps({**NO_BITS, **fields})
+
+
+def no_bits_step(**fields) -> list[dict]:
+    """NO_BITS's one transition with some fields replaced."""
+    return [{**NO_BITS["transitions"][0], **fields}]
 
 
 def test_parse_echoes_canonical(tmp_path, capsys):
@@ -180,6 +191,15 @@ ERROR_FILES = {
     # a string where a list of strings belongs, not split into characters
     "alphabet_text.json": NO_BITS_MACHINE.replace('["_", ">"]', '"_>01"'),
     "accept_text.json": NO_BITS_MACHINE.replace('["qacc"]', '"qacc"'),
+    "transitions_object.json": no_bits_with(transitions={}),
+    "start_number.json": no_bits_with(start=0),
+    "duplicate_state.json": no_bits_with(states=["q0", "qacc", "q0"]),
+    "duplicate_symbol.json": no_bits_with(tape_alphabet=["_", ">", "_"]),
+    "unknown_start.json": no_bits_with(start="q9"),
+    "unknown_accept.json": no_bits_with(accept=["q9"]),
+    "unknown_to.json": no_bits_with(transitions=no_bits_step(to="q9")),
+    "unknown_read.json": no_bits_with(transitions=no_bits_step(read="1")),
+    "bad_move.json": no_bits_with(transitions=no_bits_step(move="X")),
 }
 
 _MISSING = "[Errno 2] No such file or directory"
@@ -299,6 +319,44 @@ ERROR_TABLE = {
     "simulate-accept-text": (
         ["simulate", "{d}/accept_text.json", "--input", "1", "--max-steps", "3"], 2, "",
         "error: {d}/accept_text.json: malformed machine description: accept must be a list of strings\n",
+    ),
+    "simulate-transitions-object": (
+        ["simulate", "{d}/transitions_object.json", "--input", "", "--max-steps", "3"], 2, "",
+        "error: {d}/transitions_object.json: malformed machine description: transitions must be a list of objects\n",
+    ),
+    "simulate-start-number": (
+        ["simulate", "{d}/start_number.json", "--input", "", "--max-steps", "3"], 2, "",
+        "error: {d}/start_number.json: malformed machine description: start must be a string\n",
+    ),
+    "simulate-duplicate-state": (
+        ["simulate", "{d}/duplicate_state.json", "--input", "", "--max-steps", "3"], 2, "",
+        "error: {d}/duplicate_state.json: duplicate state names\n",
+    ),
+    "simulate-duplicate-symbol": (
+        ["simulate", "{d}/duplicate_symbol.json", "--input", "", "--max-steps", "3"], 2, "",
+        "error: {d}/duplicate_symbol.json: duplicate tape symbols\n",
+    ),
+    "simulate-unknown-start": (
+        ["simulate", "{d}/unknown_start.json", "--input", "", "--max-steps", "3"], 2, "",
+        "error: {d}/unknown_start.json: unknown start state 'q9'\n",
+    ),
+    "simulate-unknown-accept": (
+        ["simulate", "{d}/unknown_accept.json", "--input", "", "--max-steps", "3"], 2, "",
+        "error: {d}/unknown_accept.json: unknown accept state 'q9'\n",
+    ),
+    "simulate-unknown-state": (
+        ["simulate", "{d}/unknown_to.json", "--input", "", "--max-steps", "3"], 2, "",
+        "error: {d}/unknown_to.json: transition uses unknown state: "
+        "Transition(state='q0', read='>', next_state='q9', write='>', move='R')\n",
+    ),
+    "simulate-unknown-symbol": (
+        ["simulate", "{d}/unknown_read.json", "--input", "", "--max-steps", "3"], 2, "",
+        "error: {d}/unknown_read.json: transition uses unknown symbol: "
+        "Transition(state='q0', read='1', next_state='qacc', write='>', move='R')\n",
+    ),
+    "simulate-bad-move": (
+        ["simulate", "{d}/bad_move.json", "--input", "", "--max-steps", "3"], 2, "",
+        "error: {d}/bad_move.json: bad move 'X'\n",
     ),
     "family-unknown": (["family", "iter", "--n", "2"], 2, "", "error: unknown family 'iter' (available: wphp)\n"),
     "family-n": (["family", "wphp", "--n", "0"], 2, "", "error: need n >= 1\n"),

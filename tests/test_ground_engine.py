@@ -1,8 +1,7 @@
-"""The ground engine against reference copies of the two searches it
-replaced: the exception-driven sat_pc, which re-evaluates the formula
-from the root for every new oracle string, and the state-copying solver
-that sat_pi1 used for its ground constraints.  Witnesses must agree byte
-for byte (Structure.dumps)."""
+"""The ground engine against a reference copy of the state-copying
+solver that sat_pi1 used for its ground constraints.  sat_pc and
+sat_pi1 share the engine's one branch rule, so both must agree with it
+byte for byte (Structure.dumps)."""
 
 import random
 from dataclasses import dataclass
@@ -29,7 +28,6 @@ from rpcalc.formulas import (
     RApp,
     and_all,
     flatten_and,
-    free_atoms,
     or_all,
     walk,
 )
@@ -38,55 +36,6 @@ from rpcalc.syntax import format_formula, parse_formula
 from rpcalc.tableau import compile_with_info
 
 WIDE = SolverLimits(max_universal_vars=128, max_oracle_strings=1 << 16, max_structures=1 << 22)
-
-
-# ---------------------------------------------------------------------------
-# Reference: the exception-driven certificate search.
-
-
-class _UnknownQuery(Exception):
-    def __init__(self, string: str):
-        self.string = string
-
-
-def reference_sat_pc(f: Formula) -> Optional[Structure]:
-    """Atoms in sorted order with 0 before 1; then evaluate f from the
-    root, and try each newly queried string out-of-oracle first."""
-    atoms = sorted(free_atoms(f))
-    env: dict[str, int] = {}
-    chosen: dict[str, int] = {}
-
-    def lookup(s: str) -> int:
-        if s in chosen:
-            return chosen[s]
-        raise _UnknownQuery(s)
-
-    def search_oracle() -> bool:
-        try:
-            return semantics._eval(f, env, lookup) == 1
-        except _UnknownQuery as unknown:
-            s = unknown.string
-            for bit in (0, 1):
-                chosen[s] = bit
-                if search_oracle():
-                    return True
-                del chosen[s]
-            return False
-
-    def go(i: int) -> bool:
-        if i == len(atoms):
-            return search_oracle()
-        for bit in (0, 1):
-            env[atoms[i]] = bit
-            if go(i + 1):
-                return True
-        del env[atoms[i]]
-        return False
-
-    if go(0):
-        oracle = frozenset(s for s, bit in chosen.items() if bit == 1)
-        return Structure(dict(env), oracle)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +231,9 @@ def dumps(witness: Optional[Structure]) -> Optional[str]:
 
 
 def assert_sat_pc_agrees(f):
-    assert dumps(sat_pc(f)) == dumps(reference_sat_pc(f)), format_formula(f)
+    got = dumps(sat_pc(f))
+    assert got == dumps(reference_sat_pi1(f).witness), format_formula(f)
+    assert got == dumps(sat_pi1(f, WIDE).witness), format_formula(f)
 
 
 @settings(max_examples=300, deadline=None)
@@ -351,12 +302,12 @@ def test_sat_pc_matches_reference_on_nested_r_formulas(f):
     assert_sat_pc_agrees(f)
 
 
-def test_nested_r_witness_follows_evaluation_order():
-    # The short-circuited inner query R(0) commits "0" to out before the
-    # outer R("0") reads it; branching on the leftmost key of the folded
-    # formula would decide "01" first and put "0" in.
+def test_nested_r_witness_is_the_least_model():
+    # Atoms first: p = 0, then s = 0 folds R(p) & s to 0 before R(0) is
+    # decided, so the middle string is "01".  "01" goes out, the outer
+    # R then reads "0", and "0" out fails, so "0" goes in.
     f = parse_formula("R(R(R(p) & s, 1))")
-    assert sat_pc(f).dumps() == '{"atoms": {"p": 0, "s": 0}, "oracle": ["01", "1"]}'
+    assert sat_pc(f).dumps() == '{"atoms": {"p": 0, "s": 0}, "oracle": ["0"]}'
     assert_sat_pc_agrees(f)
 
 
@@ -409,7 +360,7 @@ def test_sat_pc_matches_reference_on_pigeonhole(size):
     f = pigeonhole(*size)
     witness = sat_pc(f)
     assert (witness is None) == (size[0] > size[1])
-    assert dumps(witness) == dumps(reference_sat_pc(f))
+    assert dumps(witness) == dumps(reference_sat_pi1(f).witness)
 
 
 def test_solver_counters():

@@ -116,6 +116,17 @@ def test_check_run_reports_bad_step():
     assert "step" in str(err.value)
 
 
+def test_check_run_reports_bad_shape():
+    m = normalize_machine(first_symbol_one_machine())
+    run = simulate(m, "10", 16)
+    with pytest.raises(MachineError, match="^empty run$"):
+        check_run(m, "10", Run((), ()))
+    with pytest.raises(MachineError, match="^step 0: run does not start in the initial configuration$"):
+        check_run(m, "11", run)
+    with pytest.raises(MachineError, match="^choice list does not match configuration count$"):
+        check_run(m, "10", Run(run.configs, run.choices[:-1]))
+
+
 def test_initial_config():
     m = first_symbol_one_machine()
     c = initial_config(m, "10")

@@ -121,6 +121,15 @@ def test_sat_matches_naive_enumeration():
     assert disagreements == 0
 
 
+def test_naive_enumeration_rejects_nested_r():
+    # a ValueError, not an assert, so python -O cannot turn it into a
+    # wrong answer (sat_pc finds {"1", "11"} here)
+    f = parse_formula("R(R(1), 1) & R(1) & ~R(0, 1)")
+    assert sat_pc(f) is not None
+    with pytest.raises(ValueError, match="R arguments without R"):
+        naive_sat_flat(f)
+
+
 def test_sat_nested_r_against_full_enumeration():
     # Nested oracles: compare against enumerating all subsets of every
     # string of the occurring arities (1 and 2).
