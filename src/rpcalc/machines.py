@@ -172,17 +172,12 @@ def normalize_machine(m: MachineSpec) -> MachineSpec:
     sweep = fresh(SWEEP_STATE)
     final = fresh(FINAL_STATE)
     new_transitions = list(m.transitions)
-    for qa in sorted(m.accept_states):
+    for q in (*sorted(m.accept_states), sweep):
         for sym in m.tape_alphabet:
             if sym == MARKER:
-                new_transitions.append(Transition(qa, MARKER, final, MARKER, "S"))
+                new_transitions.append(Transition(q, MARKER, final, MARKER, "S"))
             else:
-                new_transitions.append(Transition(qa, sym, sweep, sym, "L"))
-    for sym in m.tape_alphabet:
-        if sym == MARKER:
-            new_transitions.append(Transition(sweep, MARKER, final, MARKER, "S"))
-        else:
-            new_transitions.append(Transition(sweep, sym, sweep, sym, "L"))
+                new_transitions.append(Transition(q, sym, sweep, sym, "L"))
     new_transitions.append(Transition(final, MARKER, final, MARKER, "S"))
     return MachineSpec(
         m.states + (sweep, final),

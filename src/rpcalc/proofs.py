@@ -539,73 +539,64 @@ def move(p: Proof, side: str, src: int, dst: int) -> Proof:
 
 
 # ---------------------------------------------------------------------------
-# The four argument-substitution schemes.  Each derivation has a fixed
-# node count regardless of A and the surrounding argument vectors:
-# counted sizes are 7, 7, 9, 9.
+# The four argument-substitution schemes, one construction.  Each
+# derivation has a fixed node count regardless of A and the surrounding
+# argument vectors: counted sizes are 7, 7, 9, 9.  The table gives the
+# cedent that holds A, and whether R's argument goes from A to the
+# constant (1 with A in the antecedent, 0 with A in the succedent).
+_SCHEMES = {
+    "E1": ("ante", True),  # A, R(...A...) |- R(...1...)
+    "E2": ("ante", False),  # A, R(...1...) |- R(...A...)
+    "E3": ("succ", True),  # R(...A...) |- A, R(...0...)
+    "E4": ("succ", False),  # R(...0...) |- A, R(...A...)
+}
+
+
+def _fit(p: Proof, target: Sequent, last: int) -> Proof:
+    """pad p to target: its formulas keep their positions, but the last
+    of its succedent goes to position `last`."""
+    c = p.conclusion
+    return pad(p, target, list(range(len(c.antecedent))), [*range(len(c.succedent) - 1), last])
 
 
 def derive_scheme(which: str, a: Formula, before=(), after=()) -> Proof:
-    """Checker-accepted proof of the requested substitution scheme."""
+    """Checker-accepted proof of the requested substitution scheme.
+
+    AxRSubst(X, Y), with X, Y the scheme's argument before and after, is
+    cut against proofs of its halves ~X | Y and X | ~Y.  Each half is
+    proved from the one disjunct that holds: with A in the antecedent the
+    positive one (1 by AxTrue, A by AxId), with A in the succedent the
+    negated one (~0 by NotR over AxFalse, ~A by NotR over AxId next to A)."""
+    if which not in _SCHEMES:
+        raise ValueError(f"unknown scheme {which!r}")
+    side, a_first = _SCHEMES[which]
+    ante = side == "ante"
     before, after = tuple(before), tuple(after)
-    one, zero = Const(1), Const(0)
-    r_a = RApp(before + (a,) + after)
-    r_one = RApp(before + (one,) + after)
-    r_zero = RApp(before + (zero,) + after)
+    const = Const(1) if ante else Const(0)
+    x, y = (a, const) if a_first else (const, a)
+    r_x = RApp(before + (x,) + after)
+    pre, post = ((a,), ()) if ante else ((), (a,))
+    gamma, delta = pre + (r_x,), post + (RApp(before + (y,) + after),)
 
-    if which == "E1":
-        # A, R(...A...) |- R(...1...)
-        side1 = or_r(weak_r(ax_true(), Not(a), 0))          # |- ~A | 1
-        side2 = or_r(weak_r(ax_id(a), Not(one), 1))          # A |- A | ~1
-        ax = ax_rsubst(a, one, before, after)
-        x1 = Or(Not(a), one)
-        prem_b = weak_l(exch_l(ax, 0), a, 1)                 # A|~1, A, ~A|1, RA |- R1
-        prem_a = weak_r(weak_l(weak_l(side2, x1, 1), r_a, 2), r_one, 0)
-        c1 = cut(prem_a, prem_b)                             # A, ~A|1, RA |- R1
-        prem_a2 = weak_r(weak_l(weak_l(side1, a, 0), r_a, 1), r_one, 0)
-        prem_b2 = exch_l(c1, 0)
-        return cut(prem_a2, prem_b2)
+    def half(h: Or, k: int, from_a: bool) -> Proof:
+        # h from its disjunct at k (0 left, 1 right), built from A or the constant
+        p = ax_id(a) if from_a else ax_true() if ante else ax_false()
+        p = p if ante else not_r(p)
+        c = p.conclusion
+        target = Sequent(c.antecedent, c.succedent[:-1] + (h.left, h.right))
+        return or_r(_fit(p, target, len(c.succedent) - 1 + k))
 
-    if which == "E2":
-        # A, R(...1...) |- R(...A...)
-        side1 = or_r(weak_r(ax_id(a), Not(one), 0))          # A |- ~1 | A
-        side2 = or_r(weak_r(ax_true(), Not(a), 1))           # |- 1 | ~A
-        ax = ax_rsubst(one, a, before, after)
-        x1 = Or(Not(one), a)
-        prem_b = weak_l(exch_l(ax, 0), a, 1)                 # 1|~A, A, ~1|A, R1 |- RA
-        prem_a = weak_r(weak_l(weak_l(side2, a, 0), x1, 1), r_a, 0)
-        prem_a = weak_l(prem_a, r_one, 2)
-        c1 = cut(prem_a, prem_b)                             # A, ~1|A, R1 |- RA
-        prem_a2 = weak_r(weak_l(side1, r_one, 1), r_a, 0)
-        prem_b2 = exch_l(c1, 0)
-        return cut(prem_a2, prem_b2)
-
-    if which == "E3":
-        # R(...A...) |- A, R(...0...)
-        side1 = or_r(weak_r(not_r(ax_id(a)), zero, 2))       # |- A, ~A | 0
-        side2 = or_r(weak_r(not_r(ax_false()), a, 0))        # |- A | ~0
-        ax = ax_rsubst(a, zero, before, after)
-        x1 = Or(Not(a), zero)
-        prem_b = weak_r(exch_l(ax, 0), a, 0)                 # A|~0, ~A|0, RA |- A, R0
-        prem_a = weak_r(weak_r(weak_l(weak_l(side2, x1, 0), r_a, 1), a, 0), r_zero, 1)
-        c1 = cut(prem_a, prem_b)                             # ~A|0, RA |- A, R0
-        prem_a2 = weak_r(weak_l(side1, r_a, 0), r_zero, 1)
-        prem_b2 = c1
-        return cut(prem_a2, prem_b2)
-
-    if which == "E4":
-        # R(...0...) |- A, R(...A...)
-        side1 = or_r(weak_r(not_r(ax_false()), a, 1))        # |- ~0 | A
-        side2 = or_r(weak_r(not_r(ax_id(a)), zero, 1))       # |- A, 0 | ~A
-        ax = ax_rsubst(zero, a, before, after)
-        x1 = Or(Not(zero), a)
-        prem_b = weak_r(exch_l(ax, 0), a, 0)                 # 0|~A, ~0|A, R0 |- A, RA
-        prem_a = weak_r(weak_l(weak_l(side2, x1, 0), r_zero, 1), r_a, 1)
-        c1 = cut(prem_a, prem_b)                             # ~0|A, R0 |- A, RA
-        prem_a2 = weak_r(weak_r(weak_l(side1, r_zero, 0), a, 0), r_a, 1)
-        prem_b2 = c1
-        return cut(prem_a2, prem_b2)
-
-    raise ValueError(f"unknown scheme {which!r}")
+    # The disjunct that holds is Y of ~X | Y and X of X | ~Y with A on the
+    # left, ~X and ~Y with A on the right; one of the two is built from A.
+    h1, h2 = Or(Not(x), y), Or(x, Not(y))
+    p1 = half(h1, int(ante), ante != a_first)
+    p2 = half(h2, int(not ante), ante == a_first)
+    n = len(pre)
+    ax = exch_l(ax_rsubst(x, y, before, after), 0)  # X | ~Y, ~X | Y, R(X) |- R(Y)
+    prem_b = pad(ax, Sequent((h2,) + pre + (h1, r_x), delta), [0, n + 1, n + 2], [len(post)])
+    prem_a = _fit(p2, Sequent(pre + (h1, r_x), delta + (h2,)), len(delta))
+    c1 = cut(prem_a, prem_b)  # pre, ~X | Y, R(X) |- delta
+    return cut(_fit(p1, Sequent(gamma, delta + (h1,)), len(delta)), move(c1, "ante", n, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ proof of a cost-c sequent has at most D_LINES * 2^c counted lines.
 
 Invalid sequents surface at the base case, where a falsifying structure
 can be read off directly; every reduction step is invertible, so the
-same structure falsifies the original sequent.
+same structure, with 0 for each atom the search never reached,
+falsifies the original sequent.
 
 A sequent that still holds a quantifier (only gprove passes one) takes
 a quantifier step on its first top-level quantifier, else a connective
@@ -41,6 +42,7 @@ from .formulas import (
     cost_sequent,
     node_count,
     quantifier_depth,
+    sequent_free_atoms,
 )
 from .proofs import Proof
 from .semantics import Structure, eval_formula, validity_formula
@@ -144,15 +146,11 @@ def _measure(s: Sequent) -> int:
 Rebuild = Callable[[list[Proof]], Proof]
 
 
-def _principal(
-    s: Sequent, side: str, idx: int, test: Callable[[Formula], bool], what: str
-) -> tuple[Formula, str, int]:
-    """The formula at (side, idx), which must pass `test`, its rule tag,
-    and the principal end of its cedent."""
+def _principal(s: Sequent, side: str, idx: int) -> tuple[Formula, str, int]:
+    """The formula at (side, idx), its rule tag, and the principal end of
+    its cedent."""
     cedent = _cedent(s, side)
     f = cedent[idx]
-    if not test(f):
-        raise NotDecomposableError(f"no {what} at {side} {idx}")
     return f, proofs.rule_for(side, type(f)), 0 if side == "ante" else len(cedent) - 1
 
 
@@ -160,7 +158,7 @@ def connective_step(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Reb
     """Backwards application of the introduction rule for the principal
     connective of the formula at (side, idx); the rebuild closure adds
     the exchanges that return the principal formula to its position."""
-    _, tag, edge = _principal(s, side, idx, _top_connective, "principal connective")
+    _, tag, edge = _principal(s, side, idx)
 
     def rebuild(ps: list[Proof]) -> Proof:
         return proofs.move(proofs.introduce(tag, tuple(ps)), side, edge, idx)
@@ -183,8 +181,6 @@ def oracle_step(s: Sequent, side: str, idx: int, schemes: dict) -> tuple[list[Se
     rebuild takes its substitution schemes from `schemes` (see _scheme)."""
     f = _cedent(s, side)[idx]
     arg_idx = _r_with_nonconst(f)
-    if arg_idx is None:
-        raise NotDecomposableError(f"formula at {side} {idx} has no non-constant R argument")
     a = f.args[arg_idx]
     before, after = f.args[:arg_idx], f.args[arg_idx + 1 :]
     r_a = f
@@ -253,7 +249,7 @@ def quantifier_step(
     constant instances, rebuilt with two instantiations (the one at the
     end first), an exchange and a contraction; AllR and ExL take the next
     eigenvariable from `fresh`."""
-    q, tag, edge = _principal(s, side, idx, _top_quantifier, "top quantifier")
+    q, tag, edge = _principal(s, side, idx)
     if proofs.RULES[tag].shape == "instance":
         first, second = (Const(0), Const(1)) if side == "ante" else (Const(1), Const(0))
 
@@ -300,21 +296,10 @@ def decompose(
     raise NotDecomposableError(f"formula at {side} {idx} is not decomposable")
 
 
-def _base_counterexample(s: Sequent) -> Structure:
-    atoms: dict[str, int] = {}
-    oracle: set[str] = set()
-    for f in s.antecedent:
-        if isinstance(f, Atom):
-            atoms[f.name] = 1
-        elif isinstance(f, RApp):
-            oracle.add("".join(str(a.bit) for a in f.args))
-    for f in s.succedent:
-        if isinstance(f, Atom):
-            atoms[f.name] = 0
-    return Structure(atoms, frozenset(oracle))
-
-
 def _base_proof(s: Sequent) -> Union[Proof, Structure]:
+    """An axiom weakened to `s`, or else the structure that sets every
+    atom of the antecedent and every R string there to 1 and the rest
+    to 0, which falsifies `s`."""
     if Const(1) in s.succedent:
         return proofs.pad(proofs.ax_true(), s, [], [s.succedent.index(Const(1))])
     if Const(0) in s.antecedent:
@@ -323,12 +308,10 @@ def _base_proof(s: Sequent) -> Union[Proof, Structure]:
     if common:
         f = common[0]
         return proofs.pad(proofs.ax_id(f), s, [s.antecedent.index(f)], [s.succedent.index(f)])
-    witness = _base_counterexample(s)
-    _require(
-        eval_formula(validity_formula(s), witness) == 0,
-        "base-case countermodel does not falsify the sequent",
-    )
-    return witness
+    atoms = {f.name: 1 for f in s.antecedent if isinstance(f, Atom)}
+    atoms.update((f.name, 0) for f in s.succedent if isinstance(f, Atom))
+    oracle = frozenset("".join(str(a.bit) for a in f.args) for f in s.antecedent if isinstance(f, RApp))
+    return Structure(atoms, oracle)
 
 
 def _prove(s: Sequent, depth: int, tracker: dict, qfree: bool) -> Union[Proof, Structure, str]:
@@ -370,18 +353,37 @@ def _prove(s: Sequent, depth: int, tracker: dict, qfree: bool) -> Union[Proof, S
     return rebuild(subproofs)
 
 
-def _finished(s: Sequent, proof: Proof, check: Callable[[Proof], list], tracker: dict) -> ProverStats:
-    """The conclusion check and the one strict check of a finished proof
-    (its builders check nothing), then its statistics."""
-    _require(proof.conclusion == s, "proof concludes a different sequent")
-    errors = check(proof)
+def search(s: Sequent, check: Callable[[Proof], list], fresh: Optional[Iterator[str]] = None) -> ProveResult:
+    """The one outcome path of prove and gprove: search for a proof of
+    `s`, taking eigenvariables from `fresh`, and return UNKNOWN with its
+    reason; NOT_VALID with a countermodel that assigns every free atom of
+    `s` and is checked to falsify it; or PROVED with a proof that passes
+    `check`, the one strict check (the proof builders check nothing), and
+    its statistics."""
+    tracker = {"depth": 0, "schemes": {}, "fresh": fresh}
+    outcome = _prove(s, 0, tracker, False)
+    if outcome == UNKNOWN:
+        return ProveResult(
+            UNKNOWN,
+            reason="quantifiers inside R arguments cannot be reduced by the quantifier rules",
+        )
+    if isinstance(outcome, Structure):
+        # Atoms the search never reached read 0: the base sequent does not
+        # mention them and every step is invertible, so any value falsifies.
+        atoms = dict.fromkeys(sequent_free_atoms(s), 0) | outcome.atoms
+        model = Structure(atoms, outcome.oracle)
+        _require(eval_formula(validity_formula(s), model) == 0, "countermodel does not falsify the sequent")
+        return ProveResult(NOT_VALID, counterexample=model)
+    _require(outcome.conclusion == s, "proof concludes a different sequent")
+    errors = check(outcome)
     _require(not errors, f"finished proof fails the strict check: {errors[0] if errors else ''}")
-    return ProverStats(
-        counted_sequents=proofs.counted_size(proof),
-        max_line=proofs.max_line_length(proof),
+    stats = ProverStats(
+        counted_sequents=proofs.counted_size(outcome),
+        max_line=proofs.max_line_length(outcome),
         cost_at_root=sum(f.cost for f in s.formulas),  # cost_sequent, if quantifier-free
         recursion_depth=tracker["depth"],
     )
+    return ProveResult(PROVED, proof=outcome, stats=stats)
 
 
 def prove(s: Sequent) -> ProveResult:
@@ -389,21 +391,15 @@ def prove(s: Sequent) -> ProveResult:
     structure.  Deterministic: identical input yields an identical tree."""
     if not all(f.quantifier_free for f in s.formulas):
         raise ValueError("prove expects a quantifier-free sequent")
-    tracker = {"depth": 0, "schemes": {}}
-    outcome = _prove(s, 0, tracker, True)
-    if isinstance(outcome, Structure):
+    result = search(s, proofs.check_pk)
+    if result.status == PROVED:
+        stats = result.stats
         _require(
-            eval_formula(validity_formula(s), outcome) == 0,
-            "countermodel does not falsify the sequent",
+            stats.counted_sequents <= D_LINES * (1 << stats.cost_at_root),
+            "proof exceeds d * 2^cost counted lines",
         )
-        return ProveResult(NOT_VALID, counterexample=outcome)
-    stats = _finished(s, outcome, proofs.check_pk, tracker)
-    _require(
-        stats.counted_sequents <= D_LINES * (1 << stats.cost_at_root),
-        "proof exceeds d * 2^cost counted lines",
-    )
-    _require(
-        stats.max_line <= E_LINE_FACTOR * syntax.sequent_length(s),
-        "proof line exceeds e * |S| symbols",
-    )
-    return ProveResult(PROVED, proof=outcome, stats=stats)
+        _require(
+            stats.max_line <= E_LINE_FACTOR * syntax.sequent_length(s),
+            "proof line exceeds e * |S| symbols",
+        )
+    return result

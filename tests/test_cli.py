@@ -9,6 +9,8 @@ import pytest
 from genlib import first_symbol_one_machine, guess_branch_machine
 from rpcalc.cli import main
 from rpcalc.machines import load_machine
+from rpcalc.prover import prove
+from rpcalc.syntax import parse_sequent
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -446,6 +448,18 @@ def test_prove_invalid(tmp_path, capsys):
     # gprove reports the countermodel of the quantifier-free core
     seq.write_text("|- all x. x\n")
     assert run_cli(capsys, "gprove", str(seq)) == (1, 'INVALID\n{"atoms": {"y0": 0}, "oracle": []}\n', "")
+
+
+def test_prove_assigns_atoms_the_search_never_reached(tmp_path, capsys):
+    # the search stops before it reaches p; the countermodel still
+    # assigns p, so the check against the input can evaluate it
+    text = "R(q, ~(1 & r), ~r), q |- (p | q) & ~r"
+    assert "p" in prove(parse_sequent(text)).counterexample.atoms
+    seq = tmp_path / "s.sq"
+    seq.write_text(text + "\n")
+    expected = 'INVALID\n{"atoms": {"p": 0, "q": 1, "r": 1}, "oracle": ["100"]}\n'
+    for command in ("prove", "gprove"):
+        assert run_cli(capsys, command, str(seq)) == (1, expected, ""), command
 
 
 def test_gprove_and_quantified_check(tmp_path, capsys):

@@ -3,9 +3,9 @@ import json
 
 from genlib import QUANTIFIED_SUITE, brute_sat_q, random_quantified_sequents
 from rpcalc.formulas import Atom, Not, foralls, sequent_free_atoms
-from rpcalc.gprover import NOT_VALID, PROVED, UNKNOWN, gprove
+from rpcalc.gprover import gprove
 from rpcalc.proofs import Proof, ax_id, check_g, dump_proof
-from rpcalc.prover import prove
+from rpcalc.prover import NOT_VALID, PROVED, UNKNOWN, prove
 from rpcalc.semantics import eval_formula, validity_formula
 from rpcalc.syntax import parse_formula, parse_sequent
 
@@ -128,7 +128,21 @@ def test_outcomes_are_byte_identical():
         ]
         digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
     assert statuses == {PROVED, NOT_VALID, UNKNOWN}
-    assert digest.hexdigest() == "82331d382ec59a8415ec0722143bedc677d08ac94c6dc278b9390c2f9e08886b"
+    assert digest.hexdigest() == "30f3e97f97ffd6359fa42c2ac96ed29e9447317c3244f329a63780c2d5427160"
+
+
+def test_countermodels_assign_every_free_atom():
+    # atoms the search never reached are assigned too, and each
+    # countermodel falsifies its input
+    refuted = 0
+    for s in random_quantified_sequents(seed=909, count=300):
+        r = gprove(s)
+        if r.status != NOT_VALID:
+            continue
+        refuted += 1
+        assert sequent_free_atoms(s) <= r.counterexample.atoms.keys(), s
+        assert eval_formula(validity_formula(s), r.counterexample) == 0, s
+    assert refuted > 0
 
 
 def test_search_is_depth_first_left_to_right():

@@ -193,6 +193,14 @@ def test_scheme_conclusions_and_sizes():
         assert counted_size(proof) == sizes[which]
 
 
+@pytest.mark.parametrize("which", ["E1", "E2", "E3", "E4"])
+def test_scheme_proof_text_is_pinned(which, data_dir):
+    # one scheme per test, so a change to one construction shows in its own test
+    proof = derive_scheme(which, parse_formula("p & q"), (Atom("r"),), (Const(1),))
+    pinned = (data_dir / "proofs" / f"scheme_{which.lower()}.json").read_text()
+    assert dump_proof(proof) + "\n" == pinned
+
+
 def test_scheme_example_with_context():
     proof = derive_scheme("E4", parse_formula("q"), (parse_formula("r"),), ())
     assert proof.conclusion == parse_sequent("R(r, 0) |- q, R(r, q)")

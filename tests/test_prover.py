@@ -11,7 +11,7 @@ from genlib import QUANTIFIED_SUITE, generate_valid_sequents, random_flat_formul
 from rpcalc import prover
 from rpcalc.gprover import gprove
 from rpcalc.constants import D_LINES, E_LINE_FACTOR
-from rpcalc.formulas import RApp, Sequent, cost_sequent
+from rpcalc.formulas import RApp, Sequent, cost_sequent, sequent_free_atoms
 from rpcalc.prover import NotDecomposableError, decompose, prove
 from rpcalc.proofs import check_pk, dump_proof
 from rpcalc.semantics import eval_formula, sequent_valid, validity_formula
@@ -136,7 +136,7 @@ def test_proofs_are_byte_identical():
         digest.update(dump_proof(prove(s).proof).encode() + b"\n")
     for text in QUANTIFIED_SUITE:
         digest.update(dump_proof(gprove(parse_sequent(text)).proof).encode() + b"\n")
-    assert digest.hexdigest() == "d2224e97d9a57226414aadc2d169c18569edaad80ba6081cfd7194346dcad2dd"
+    assert digest.hexdigest() == "3fd63a58cd39eff288292fd3db8e989eccc069a8c2c68a09b99fd03c643706eb"
 
 
 def test_random_valid_suite_with_bounds():
@@ -174,6 +174,24 @@ def test_invalid_random_sequents_give_checking_witnesses():
     assert found >= 20
 
 
+def test_countermodels_assign_every_free_atom():
+    # the search assigns only the atoms it reaches; the answer must
+    # assign every free atom of the input and falsify it
+    rng = random.Random(7)
+    checked = 0
+    while checked < 300:
+        s = Sequent(
+            tuple(random_flat_formula(rng, max_r=1, depth=1) for _ in range(rng.randint(0, 2))),
+            tuple(random_flat_formula(rng, max_r=1, depth=1) for _ in range(rng.randint(1, 2))),
+        )
+        if sequent_valid(s):
+            continue
+        checked += 1
+        w = prove(s).counterexample
+        assert sequent_free_atoms(s) <= w.atoms.keys(), s
+        assert eval_formula(validity_formula(s), w) == 0, s
+
+
 def test_prover_rejects_quantifiers():
     with pytest.raises(ValueError):
         prove(parse_sequent("|- all x. x"))
@@ -194,6 +212,27 @@ except prover.ProverInvariantError as exc:
 
 # exchanges forgotten: the principal formula is left out of place
 FORGET_EXCHANGES = "proofs.move = lambda p, side, src, dst: p"
+
+# ExR and AllL take the instance 0 twice, so |- ex x. x reduces to |- 0, 0
+BOTH_INSTANCES_ZERO = """
+made = proofs.backward
+def zeroed(tag, s, idx, terms=()):
+    if tag in ("ExR", "AllL"):
+        terms = (proofs.Const(0), proofs.Const(0))
+    return made(tag, s, idx, terms)
+proofs.backward = zeroed
+"""
+
+# OrR's premise holds the right disjunct twice, so |- p | ~p reduces to p, p |-
+RIGHT_DISJUNCT_TWICE = """
+made = proofs.backward
+def doubled(tag, s, idx, terms=()):
+    if tag != "OrR":
+        return made(tag, s, idx, terms)
+    right = s.succedent[idx].right
+    return [proofs.Sequent(s.antecedent, s.succedent[:idx] + s.succedent[idx + 1 :] + (right, right))]
+proofs.backward = doubled
+"""
 
 # every conclusion stays right, but exchange nodes record the wrong position
 SHIFT_EXCHANGE_POS = """
@@ -243,6 +282,20 @@ proofs.Proof = shifted
             "|- p & q",
             "a sequent with no decomposable formula must have cost 0",
             id="prover.prove-no target at positive cost",
+        ),
+        pytest.param(
+            BOTH_INSTANCES_ZERO,
+            "gprover.gprove",
+            "|- ex x. x",
+            "countermodel does not falsify the sequent",
+            id="gprover.gprove-both instances 0",
+        ),
+        pytest.param(
+            RIGHT_DISJUNCT_TWICE,
+            "prover.prove",
+            "|- p | ~p",
+            "countermodel does not falsify the sequent",
+            id="prover.prove-right disjunct twice",
         ),
     ],
 )
