@@ -496,42 +496,58 @@ def fold_assign(
     An R application whose arguments fold to constants folds to the bit
     that `strings` assigns its string, if any; other R applications stay
     and their arguments are folded.  Unchanged subtrees are returned
-    as-is (no reallocation).  Only defined on quantifier-free formulas.
+    as-is (no reallocation).  Each distinct node is folded once per
+    call: nodes are hash-consed, so a subtree that occurs many times is
+    one node.  Only defined on quantifier-free formulas.
     """
+    return _fold(f, atoms, strings, {})
+
+
+def _fold(f: Formula, atoms: dict[str, int], strings: Optional[dict[str, int]], memo: dict) -> Formula:
+    """fold_assign's recursion; `memo` maps each compound node folded in
+    this call to its result."""
     kind = type(f)
     if kind is Atom:
         bit = atoms.get(f.name)
         return f if bit is None else _BITS[bit]
     if kind is Const:
         return f
+    out = memo.get(f)
+    if out is not None:
+        return out
     if kind is Not:
-        c = fold_assign(f.child, atoms, strings)
+        c = _fold(f.child, atoms, strings, memo)
         if type(c) is Const:
-            return _BITS[1 - c.bit]
-        return f if c is f.child else Not(c)
-    if kind is And or kind is Or:
+            out = _BITS[1 - c.bit]
+        else:
+            out = f if c is f.child else Not(c)
+    elif kind is And or kind is Or:
         absorbing = 0 if kind is And else 1
-        left = fold_assign(f.left, atoms, strings)
+        left = _fold(f.left, atoms, strings, memo)
         if type(left) is Const:
-            return left if left.bit == absorbing else fold_assign(f.right, atoms, strings)
-        right = fold_assign(f.right, atoms, strings)
-        if type(right) is Const:
-            return right if right.bit == absorbing else left
-        if left is f.left and right is f.right:
-            return f
-        return kind(left, right)
-    if kind is RApp:
-        args = f.args
-        if f.cost:  # cost 0: every argument is a constant already
-            args = tuple([fold_assign(a, atoms, strings) for a in args])
-        if strings and all([type(a) is Const for a in args]):
-            bit = strings.get("".join([str(a.bit) for a in args]))
+            out = left if left.bit == absorbing else _fold(f.right, atoms, strings, memo)
+        else:
+            right = _fold(f.right, atoms, strings, memo)
+            if type(right) is Const:
+                out = right if right.bit == absorbing else left
+            elif left is f.left and right is f.right:
+                out = f
+            else:
+                out = kind(left, right)
+    elif kind is RApp:
+        out = f
+        if f.cost:
+            args = tuple([_fold(a, atoms, strings, memo) for a in f.args])
+            if not all([a is b for a, b in zip(args, f.args)]):
+                out = RApp(args)
+        if strings and out.cost == 0:  # every argument a constant
+            bit = strings.get(oracle_key(out)[1:])
             if bit is not None:
-                return _BITS[bit]
-        if args is f.args or all([a is b for a, b in zip(args, f.args)]):
-            return f
-        return RApp(args)
-    raise ValueError("fold_assign expects a quantifier-free formula")
+                out = _BITS[bit]
+    else:
+        raise ValueError("fold_assign expects a quantifier-free formula")
+    memo[f] = out
+    return out
 
 
 # Key sets of at most this many keys are cached on their nodes.  Larger
@@ -583,6 +599,13 @@ def key_set(f: Formula) -> AbstractSet[str]:
         else:
             out |= keys
     return out
+
+
+def oracle_key(g: RApp) -> str:
+    """The key "s" + string of an R application of cost 0 (all arguments
+    constants), read from its cached key set."""
+    (key,) = g._keys or key_set(g)
+    return key
 
 
 def atom_names_fast(f: Formula) -> set[str]:

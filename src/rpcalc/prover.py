@@ -41,6 +41,7 @@ from .formulas import (
     Sequent,
     cost_sequent,
     node_count,
+    oracle_key,
     quantifier_depth,
     sequent_free_atoms,
 )
@@ -310,7 +311,7 @@ def _base_proof(s: Sequent) -> Union[Proof, Structure]:
         return proofs.pad(proofs.ax_id(f), s, [s.antecedent.index(f)], [s.succedent.index(f)])
     atoms = {f.name: 1 for f in s.antecedent if isinstance(f, Atom)}
     atoms.update((f.name, 0) for f in s.succedent if isinstance(f, Atom))
-    oracle = frozenset("".join(str(a.bit) for a in f.args) for f in s.antecedent if isinstance(f, RApp))
+    oracle = frozenset(oracle_key(f)[1:] for f in s.antecedent if isinstance(f, RApp))
     return Structure(atoms, oracle)
 
 

@@ -48,6 +48,7 @@ from .formulas import (
     fresh_names,
     is_quantifier_free,
     key_set,
+    oracle_key,
     or_all,
     substitute_all,
 )
@@ -431,7 +432,7 @@ def _as_literal(g: Formula) -> Optional[tuple[str, int]]:
     if type(g) is Atom:
         return "a" + g.name, positive
     if type(g) is RApp and g.cost == 0:  # every argument a constant
-        return "s" + "".join([str(a.bit) for a in g.args]), positive
+        return oracle_key(g), positive
     return None
 
 

@@ -147,6 +147,44 @@ def naive_sat_flat(f: Formula):
     return None
 
 
+def reference_fold(f: Formula, atoms: dict[str, int], strings: Optional[dict[str, int]] = None) -> Formula:
+    """Reference for formulas.fold_assign: the plain recursive fold, which
+    refolds a shared subtree at each of its occurrences.  Nodes are
+    hash-consed, so an equal result is the same object."""
+    kind = type(f)
+    if kind is Atom:
+        bit = atoms.get(f.name)
+        return f if bit is None else Const(bit)
+    if kind is Const:
+        return f
+    if kind is Not:
+        c = reference_fold(f.child, atoms, strings)
+        if type(c) is Const:
+            return Const(1 - c.bit)
+        return f if c is f.child else Not(c)
+    if kind is And or kind is Or:
+        absorbing = 0 if kind is And else 1
+        left = reference_fold(f.left, atoms, strings)
+        if type(left) is Const:
+            return left if left.bit == absorbing else reference_fold(f.right, atoms, strings)
+        right = reference_fold(f.right, atoms, strings)
+        if type(right) is Const:
+            return right if right.bit == absorbing else left
+        if left is f.left and right is f.right:
+            return f
+        return kind(left, right)
+    if kind is RApp:
+        args = tuple([reference_fold(a, atoms, strings) for a in f.args])
+        if strings and all([type(a) is Const for a in args]):
+            bit = strings.get("".join([str(a.bit) for a in args]))
+            if bit is not None:
+                return Const(bit)
+        if all([a is b for a, b in zip(args, f.args)]):
+            return f
+        return RApp(args)
+    raise ValueError("reference_fold expects a quantifier-free formula")
+
+
 def naive_holds_universally(f: Formula, structure: Structure) -> bool:
     """Reference for the exact witness check: the matrix of a closed pi1
     formula evaluated under all 2^k assignments of its pulled universals."""

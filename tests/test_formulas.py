@@ -4,10 +4,10 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from genlib import classify, random_ast, random_flat_formula
+from genlib import classify, random_ast, random_flat_formula, reference_fold
 from rpcalc import formulas, semantics
 from rpcalc.formulas import (
     And,
@@ -24,6 +24,7 @@ from rpcalc.formulas import (
     and_all,
     cost,
     cost_sequent,
+    fold_assign,
     free_atoms,
     is_quantifier_free,
     key_set,
@@ -308,3 +309,95 @@ def test_nodes_are_immutable():
     with pytest.raises(AttributeError):
         del f.right
     assert f == And(Atom("p"), Atom("q"))
+
+
+# DAG-shaped formulas: each step builds a node over earlier ones, so
+# subterms repeat, as the tableau's cell fields do in compiled formulas.
+DAG_LEAVES = (
+    Atom("p"), Atom("q"), Atom("x"), Const(0), Const(1),
+    RApp(()), RApp((Const(1),)), RApp((Const(0), Const(1))),
+    RApp((Atom("p"),)), RApp((Atom("x"), Const(1))),
+)
+POOL_INDEX = st.integers(0, 1 << 16)
+DAG_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("not"), POOL_INDEX),
+        st.tuples(st.sampled_from(["and", "or"]), POOL_INDEX, POOL_INDEX),
+        st.tuples(st.just("rapp"), st.lists(POOL_INDEX, max_size=3)),
+    ),
+    min_size=1,
+    max_size=30,
+)
+BITS = st.sampled_from([0, 1])
+
+
+def build_dag(steps):
+    pool = list(DAG_LEAVES)
+    for tag, *refs in steps:
+        if tag == "rapp":
+            node = RApp(tuple(pool[i % len(pool)] for i in refs[0]))
+        elif tag == "not":
+            node = Not(pool[refs[0] % len(pool)])
+        else:
+            node = (And if tag == "and" else Or)(*(pool[i % len(pool)] for i in refs))
+        pool.append(node)
+    return pool[-1]
+
+
+@given(
+    DAG_STEPS,
+    st.dictionaries(st.sampled_from(["p", "q", "x", "y"]), BITS),
+    st.dictionaries(st.text("01", max_size=3), BITS),
+)
+# ~R(p) with p = 1 and R(1) = 1: an argument that folds to a constant
+@example([("not", DAG_LEAVES.index(RApp((Atom("p"),))))], {"p": 1}, {"1": 1})
+def test_fold_matches_the_reference_fold_on_shared_subterms(steps, atoms, strings):
+    f = build_dag(steps)
+    assert fold_assign(f, atoms, strings) is reference_fold(f, atoms, strings)
+    assert fold_assign(f, atoms) is reference_fold(f, atoms)
+
+
+def doubling_dag(depth):
+    """A formula whose tree doubles at each level (2^depth occurrences of
+    p) while each level adds three distinct nodes."""
+    g = Atom("p")
+    for _ in range(depth):
+        g = Or(And(g, Atom("q")), Not(g))
+    return g
+
+
+def distinct_nodes(f):
+    seen, stack = {f}, [f]
+    while stack:
+        for c in stack.pop()._children():
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return seen
+
+
+def test_fold_visits_each_distinct_node_once_per_call(monkeypatch):
+    f = doubling_dag(30)
+    distinct = len(distinct_nodes(f))
+    assert distinct == 3 * 30 + 2
+    calls = 0
+    fold = formulas._fold
+
+    def counted(*args):
+        # fails at once, rather than after 2^30 calls, if shared nodes
+        # are folded again
+        nonlocal calls
+        calls += 1
+        assert calls <= 3 * distinct, "a shared node was folded more than once"
+        return fold(*args)
+
+    monkeypatch.setattr(formulas, "_fold", counted)
+    for atoms in ({}, {"x": 1}):
+        calls = 0
+        assert fold_assign(f, atoms) is f
+    small = doubling_dag(12)
+    for bit in (0, 1):
+        calls = 0
+        assert fold_assign(f, {"q": bit}) is not f
+        calls = 0
+        assert fold_assign(small, {"q": bit}) is reference_fold(small, {"q": bit})

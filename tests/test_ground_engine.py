@@ -16,6 +16,7 @@ from genlib import (
     guess_branch_machine,
     immediate_accept_machine,
     random_flat_formula,
+    reference_fold,
 )
 from rpcalc import semantics
 from rpcalc.formulas import (
@@ -53,44 +54,6 @@ def _ref_as_literal(g):
     if isinstance(g, RApp) and all(isinstance(a, Const) for a in g.args):
         return ("s", "".join(str(a.bit) for a in g.args)), positive
     return None
-
-
-def _ref_fold_ground(f, atoms, strings):
-    if isinstance(f, Atom):
-        bit = atoms.get(f.name)
-        return f if bit is None else Const(bit)
-    if isinstance(f, Const):
-        return f
-    if isinstance(f, Not):
-        c = _ref_fold_ground(f.child, atoms, strings)
-        if isinstance(c, Const):
-            return Const(1 - c.bit)
-        return f if c is f.child else Not(c)
-    if isinstance(f, (And, Or)):
-        absorbing = 0 if isinstance(f, And) else 1
-        left = _ref_fold_ground(f.left, atoms, strings)
-        if isinstance(left, Const) and left.bit == absorbing:
-            return left
-        right = _ref_fold_ground(f.right, atoms, strings)
-        if isinstance(right, Const) and right.bit == absorbing:
-            return right
-        if isinstance(left, Const):
-            return right
-        if isinstance(right, Const):
-            return left
-        if left is f.left and right is f.right:
-            return f
-        return type(f)(left, right)
-    if isinstance(f, RApp):
-        args = tuple(_ref_fold_ground(a, atoms, strings) for a in f.args)
-        if all(isinstance(a, Const) for a in args):
-            bit = strings.get("".join(str(a.bit) for a in args))
-            if bit is not None:
-                return Const(bit)
-        if all(a is b for a, b in zip(args, f.args)):
-            return f
-        return RApp(args)
-    raise ValueError("ground constraints must be quantifier-free")
 
 
 def _ref_constraint_keys(g):
@@ -158,7 +121,7 @@ class ReferenceSolver:
             g = state.active.pop(cid, None)
             if g is None:
                 continue
-            g = _ref_fold_ground(g, state.atoms, state.strings)
+            g = reference_fold(g, state.atoms, state.strings)
             if isinstance(g, Const):
                 if g.bit == 0:
                     return False

@@ -11,6 +11,7 @@ from genlib import (
     guess_branch_machine,
     immediate_accept_machine,
     naive_holds_universally,
+    reference_fold,
 )
 from rpcalc import semantics
 from rpcalc.formulas import (
@@ -243,7 +244,8 @@ def test_gate_definitions_keep_a_gates_first_prefix_small():
 
 def naive_expand(conjunct, uvars, limits=None, counters=None):
     """Reference expansion: branch on every universal still occurring,
-    in prefix order, and drop the instances that fold to 1."""
+    in prefix order, and drop the instances that fold to 1.  It folds
+    with the tests' own reference_fold, not the library's."""
     out = []
 
     def rec(g, remaining):
@@ -257,9 +259,9 @@ def naive_expand(conjunct, uvars, limits=None, counters=None):
             out.append(g)
             return
         for bit in (0, 1):
-            rec(fold_assign(g, {remaining[0]: bit}), remaining[1:])
+            rec(reference_fold(g, {remaining[0]: bit}), remaining[1:])
 
-    rec(fold_assign(conjunct, {}), list(uvars))
+    rec(reference_fold(conjunct, {}), list(uvars))
     return out
 
 
