@@ -333,20 +333,6 @@ def _force(
         pending = forced
 
 
-def _defined(guard: list[Formula]) -> set[str]:
-    """Variables x with both halves ~x | e and ~e | x of a biconditional
-    x <=> e among the guard conjuncts (Tseitin-style gate definitions)."""
-    halves: set[tuple[str, Formula]] = set()
-    converse: set[tuple[str, Formula]] = set()
-    for c in guard:
-        if isinstance(c, Or) and isinstance(c.left, Not):
-            if isinstance(c.left.child, Atom):
-                halves.add((c.left.child.name, c.right))
-            if isinstance(c.right, Atom):
-                converse.add((c.right.name, c.left.child))
-    return {name for name, _ in halves & converse}
-
-
 def _expand(
     conjunct: Formula,
     uvars: Sequence[str],
@@ -362,12 +348,14 @@ def _expand(
     takes only the value that keeps the literal true.  Forcing repeats
     on the small guard alone, and the whole instance is then folded once
     with every forced value.  When nothing is forced, the expansion
-    branches on the first universal in `uvars` order that still occurs
-    and that no guard biconditional x <=> e defines, so circuit inputs
-    are branched on and gate and output variables are forced as their
-    definitions become ground.  Every folded instance counts against
-    max_structures.  Each fold resolves the R applications that
-    `strings` answers (see fold_assign); sat_pi1 passes none."""
+    branches on the first universal in `uvars` order that still occurs.
+    A compiled machine lists each conjunct's circuit inputs before its
+    gate and output variables, so the inputs are branched on and the
+    gates and outputs are forced as their definitions become ground; a
+    prefix in another order gives the same instances at a higher cost.
+    Every folded instance counts against max_structures.  Each fold
+    resolves the R applications that `strings` answers (see
+    fold_assign); sat_pi1 passes none."""
     out: dict[Formula, None] = {}
     universals = frozenset(uvars)
 
@@ -407,8 +395,7 @@ def _expand(
             counters["forced"] += len(forced)
             visit(fold(g, forced), remaining)
             return
-        defined = _defined(guard)
-        var = next((v for v in remaining if v not in defined), remaining[0])
+        var = remaining[0]
         counters["branches"] += 1
         for bit in (0, 1):
             settled = _force(guard, universals, {var: bit}, strings)
@@ -626,8 +613,12 @@ def holds_universally(
     """Exact check that a closed universally quantified formula holds in
     the given structure, via the pruning expansion (no sampling).  The
     expansion folds with the structure's oracle, so an instance
-    collapses as soon as its R arguments are constant.  Raises
-    BudgetExceeded when the expansion goes over `limits`."""
+    collapses as soon as its R arguments are constant.  Of `limits`,
+    only max_structures binds: BudgetExceeded is raised when the
+    expansion folds more instances than that.  max_universal_vars is
+    not checked, as compiled machines of 46 to 51 universals are checked
+    under the default limits, and max_oracle_strings never binds, as the
+    oracle answers every string before an instance is kept."""
     if free_atoms(f):
         raise ValueError("holds_universally expects a closed formula")
     uvars, matrix = pull_universals(f)

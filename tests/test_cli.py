@@ -184,6 +184,7 @@ ERROR_FILES = {
     "bit2.json": '{"atoms": {"p": 2}}',
     "no_p.json": '{"atoms": {"q": 1}}',
     "proof.json": '{"rule": "X"}',
+    "bad_param.json": '{"conclusion": "p |- p", "rule": "AxId", "params": {"formula": "p &"}, "premises": []}',
     "list_pos.json": (
         '{"conclusion": "q, p |- p", "rule": "WeakL", "params": {"pos": [0]}, '
         '"premises": [{"conclusion": "p |- p", "rule": "AxId"}]}'
@@ -286,6 +287,10 @@ ERROR_TABLE = {
         "line 1 column 2 (char 1)\n",
     ),
     "check-malformed": (["check", "{d}/proof.json"], 2, "", "error: {d}/proof.json: missing field 'conclusion'\n"),
+    "check-formula-param": (
+        ["check", "{d}/bad_param.json"], 2, "",
+        "error: {d}/bad_param.json: bad formula parameter formula: 1:4: expected a formula, found 'end of input'\n",
+    ),
     "check-list": (["check", "{d}/list.json"], 2, "", "error: {d}/list.json: proof node must be an object\n"),
     # an unhashable position from JSON is reported, not hashed
     "check-list-pos": (["check", "{d}/list_pos.json"], 1, "[root] WeakL: bad position [0]\n", ""),
@@ -411,6 +416,22 @@ def test_structure_error_is_the_same_under_any_hash_seed(tmp_path):
         proc = run_module("eval", str(f), "--structure", str(structure), PYTHONHASHSEED=seed)
         assert proc.returncode == 2
         assert proc.stderr == f"error: {structure}: bad structure file: oracle strings must be over {{0,1}}, got '2'\n"
+
+
+def test_sat_pi1_output_is_the_same_under_any_hash_seed(tmp_path, data_dir):
+    # the expansion's instance dict and the engine's watch lists are
+    # keyed by formula nodes, whose hashes are object ids
+    machine = str(data_dir / "machines" / "first1.json")
+    formula = tmp_path / "first1.pc"
+    outputs = []
+    for seed in ("0", "1"):
+        compiled = run_module("compile-tm", machine, "--input", "10", "--time-exp", "2", PYTHONHASHSEED=seed)
+        assert compiled.returncode == 0
+        formula.write_text(compiled.stdout)
+        solved = run_module("sat-pi1", str(formula), "--max-universal", "64", PYTHONHASHSEED=seed)
+        assert (solved.returncode, solved.stdout.splitlines()[0]) == (0, "SAT")
+        outputs.append((compiled.stdout, solved.stdout))
+    assert outputs[0] == outputs[1]
 
 
 def test_prove_check_roundtrip(tmp_path, capsys):

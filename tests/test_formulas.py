@@ -133,6 +133,10 @@ def test_classify_more_shapes():
 def test_quantifier_free_looks_into_r_arguments():
     assert is_quantifier_free(parse_formula("R(p, q & r)"))
     assert not is_quantifier_free(RApp((Forall("x", Atom("x")),)))
+    # the fold is only defined on quantifier-free formulas, and finds a
+    # quantifier inside an R argument too
+    with pytest.raises(ValueError, match="fold_assign expects a quantifier-free formula"):
+        fold_assign(RApp((Forall("x", Atom("x")),)), {})
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -106,6 +106,9 @@ def test_unsupported_shape():
         sat_pi1(parse_formula("ex x. R(x)"))
     with pytest.raises(UnsupportedShapeError):
         sat_pi1(parse_formula("~(all x. R(x))"))
+    # the exact check needs a closed formula: a free atom has no value
+    with pytest.raises(ValueError, match="expects a closed formula"):
+        holds_universally(parse_formula("p | all x. x"), Structure({"p": 1}, frozenset()))
 
 
 def test_free_atoms_are_existential():
@@ -215,7 +218,7 @@ def test_expansion_counters():
     r = sat_pi1(reparsed_compile(first_symbol_one_machine(), "10", 2), WIDE)
     assert r.status == SAT
     assert r.stats == {
-        "folds": 208, "leaves": 113, "forced": 853, "branches": 93, "ground_constraints": 113,
+        "folds": 207, "leaves": 113, "forced": 810, "branches": 92, "ground_constraints": 113,
         "decisions": 0, "conflicts": 0, "units": 256,
     }
     # branching on every gate and output variable took 4,369 expansion
@@ -227,18 +230,24 @@ def test_expansion_counters():
     assert r == semantics.Pi1Result(r.status, r.witness, r.reason)
 
 
-def test_gate_definitions_keep_a_gates_first_prefix_small():
-    # with the prefix reversed, gate and output variables come before the
-    # circuit inputs; branching skips the variables that a guard
-    # biconditional defines, so the expansion still folds 208 instances
-    # (branching in prefix order folds 595)
-    f = reparsed_compile(first_symbol_one_machine(), "10", 2)
+def split_prefix(f):
+    """The leading universal variables of f, in order, and the body
+    under them, with no renaming (unlike pull_universals)."""
     uvars = []
     while isinstance(f, Forall):
         uvars.append(f.var)
         f = f.body
+    return uvars, f
+
+
+def test_a_reversed_prefix_keeps_the_answer_at_a_higher_cost():
+    # with the prefix reversed, gate and output variables come before the
+    # circuit inputs, so the expansion branches on them instead of
+    # forcing them: 595 folds and 387 branches, against 207 and 92 in
+    # the compiler's inputs-first order
+    uvars, f = split_prefix(reparsed_compile(first_symbol_one_machine(), "10", 2))
     r = sat_pi1(foralls(reversed(uvars), f), WIDE)
-    assert (r.status, r.stats["folds"], r.stats["branches"]) == (SAT, 208, 93)
+    assert (r.status, r.stats["folds"], r.stats["branches"]) == (SAT, 595, 387)
     assert r.witness == sat_pi1(foralls(uvars, f), WIDE).witness
 
 
@@ -348,6 +357,24 @@ def guarded_pi1(draw):
 @given(guarded_pi1())
 def test_expansion_matches_naive_reference_on_guarded_formulas(f):
     assert_expansions_agree(f)
+
+
+@settings(max_examples=150)
+@given(guarded_pi1(), st.data())
+def test_prefix_order_changes_only_the_cost(f, data):
+    # the expansion branches in prefix order; any order must give each
+    # conjunct the same ground instances, and so the same answer
+    uvars, body = split_prefix(f)
+    shuffled = foralls(data.draw(st.permutations(uvars)), body)
+    (ours, matrix), (theirs, same) = pull_universals(f), pull_universals(shuffled)
+    for g, h in zip(flatten_and(matrix), flatten_and(same)):
+        # the pulls name the universals by prefix position, but a ground
+        # instance holds none of them
+        first = semantics._expand(g, ours, WIDE, semantics._expansion_counters())
+        second = semantics._expand(h, theirs, WIDE, semantics._expansion_counters())
+        assert set(first) == set(second)
+    expected, got = sat_pi1(f, WIDE), sat_pi1(shuffled, WIDE)
+    assert (got.status, got.witness) == (expected.status, expected.witness)
 
 
 @pytest.mark.parametrize(

@@ -205,6 +205,8 @@ def test_scheme_example_with_context():
     proof = derive_scheme("E4", parse_formula("q"), (parse_formula("r"),), ())
     assert proof.conclusion == parse_sequent("R(r, 0) |- q, R(r, q)")
     assert check_pk(proof) == []
+    with pytest.raises(ValueError, match="unknown scheme 'E5'"):
+        derive_scheme("E5", parse_formula("p"))
 
 
 def test_scheme_size_constancy():

@@ -85,6 +85,8 @@ def test_sat_example_with_exact_witness():
 def test_sat_trivia():
     assert sat_pc(Const(0)) is None
     assert sat_pc(parse_formula("~((R(p) & R(~p)) => (R(q) | R(~q)))")) is None
+    with pytest.raises(ValueError, match="sat_pc expects a quantifier-free formula"):
+        sat_pc(parse_formula("p & all x. R(x)"))
 
 
 def test_shared_query_strings_are_consistent():

@@ -83,6 +83,9 @@ def test_params_invariants(norm_first1):
     assert enc.w >= 6
     with pytest.raises(EncodingError):
         EncodingParams(n=2, t=0, w_bits=3)
+    # a cell of 2 bits is too narrow for the machine's state and symbol
+    with pytest.raises(EncodingError, match="cell width 2 cannot hold 6 content bits"):
+        build_S(norm_first1, "10", EncodingParams(n=2, t=2, w_bits=1))
 
 
 def test_classification_and_arity(compiled_10):
@@ -172,6 +175,8 @@ def test_end_constant_size_and_requires_normalization(first1, norm_first1):
     )
     with pytest.raises(EncodingError):
         build_E(first1, enc)
+    with pytest.raises(EncodingError, match="built for normalized machines"):
+        witness_structure(first1, "10", simulate(norm_first1, "10", 16), enc)
     # length scales only with the index width: bounded by C_E * (m + t)
     for n in (2, 8, 16):
         enc_n = default_params(norm_first1, n, n)
