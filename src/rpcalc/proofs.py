@@ -20,6 +20,15 @@ call equal scheme subproofs are one object, so a proof in memory is a
 DAG; counted_size, nodes() and the JSON still measure and write it as
 a tree.  counted_size excludes weakenings and exchanges (contractions
 do count).
+
+The builders keep each maximal run of weakenings and exchanges as one
+node, a chain (rule CHAIN, a derived rule): its params are the steps'
+(tag, pos) pairs from the conclusion up, and its one premise is the
+node above the run.  The steps' own conclusions are not stored; they
+are what undoing the steps from the chain's conclusion gives, so the
+checker validates a chain in one pass over its steps.  nodes(), the
+JSON and `==` see the explicit nodes a chain stands for, so a chain
+never shows in a proof file, and load_proof refuses its tag.
 """
 
 from __future__ import annotations
@@ -106,7 +115,10 @@ RULES = {
 }
 
 RULE_TAGS = tuple(RULES)
-UNCOUNTED_TAGS = frozenset(tag for tag, rule in RULES.items() if not rule.counted)
+# The tag of an in-memory weakening and exchange chain.  It is no row of
+# RULES: proof files hold the explicit steps, and load_proof refuses it.
+CHAIN = "Chain"
+UNCOUNTED_TAGS = frozenset(tag for tag, rule in RULES.items() if not rule.counted) | {CHAIN}
 _BY_SIDE = {(rule.side, rule.principal or rule.shape): tag for tag, rule in RULES.items()}
 
 
@@ -116,11 +128,17 @@ def rule_for(side: str, key: Any) -> str:
     return _BY_SIDE[side, key]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Proof:
     """A proof node.  `counted` (counted lines of the tree, see
     counted_size) and `max_line` (its longest conclusion, in symbols)
-    are computed once from the premises' values when the node is made."""
+    are computed once from the premises' values when the node is made.
+    For a chain these are the values of its explicit nodes too: they are
+    uncounted, and no line shrinks from a weakening or exchange's
+    premise to its conclusion.
+
+    Two proofs are equal when their explicit trees are (a chain equals
+    the explicit nodes it stands for); the hash is the conclusion's."""
 
     conclusion: Sequent
     rule: str
@@ -138,6 +156,29 @@ class Proof:
                 max_line = p.max_line
         object.__setattr__(self, "counted", counted)
         object.__setattr__(self, "max_line", max_line)
+
+    def __eq__(self, other: object) -> bool:
+        # An explicit stack: chains and loaded proofs nest deeper than the
+        # recursion limit.  Two chains with the same conclusion and steps
+        # stand for the same explicit nodes, so only their premises remain.
+        if not isinstance(other, Proof):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.conclusion != b.conclusion:
+                return False
+            if (a.rule == CHAIN or b.rule == CHAIN) and not (a.rule == b.rule and a.params == b.params):
+                a, b = _explicit(a), _explicit(b)
+            if a.rule != b.rule or a.params != b.params or len(a.premises) != len(b.premises):
+                return False
+            stack.extend(zip(a.premises, b.premises))
+        return True
+
+    def __hash__(self) -> int:
+        return hash(self.conclusion)
 
     def param(self, key: str, default: Any = None) -> Any:
         for k, v in self.params:
@@ -162,10 +203,13 @@ class CheckError:
 
 
 def nodes(p: Proof) -> Iterator[tuple[tuple[int, ...], Proof]]:
-    """Pre-order traversal with premise-index paths."""
+    """Pre-order traversal of the explicit tree, with premise-index
+    paths: a chain is visited as its explicit nodes."""
     stack: list[tuple[tuple[int, ...], Proof]] = [((), p)]
     while stack:
         path, node = stack.pop()
+        if node.rule == CHAIN:
+            node = _explicit(node)
         yield path, node
         for i in range(len(node.premises) - 1, -1, -1):
             stack.append((path + (i,), node.premises[i]))
@@ -234,6 +278,61 @@ _UNDO = {
     "swap": _swap_at,
     "duplicate": lambda xs, i: _insert_at(xs, i, xs[i]),
 }
+
+
+# ---------------------------------------------------------------------------
+# Chains: a run of weakenings and exchanges as one node.
+
+def _undo(tag: str, pos: Any, ante: list, succ: list) -> bool:
+    """Undo the chain step (tag, pos) on the cedents `ante` and `succ`, in
+    place: drop the weakened formula or swap the exchanged pair back.  A
+    step that is no weakening or exchange, or whose position is bad as
+    _check_structural reads it, changes nothing and gives False."""
+    rule = RULES.get(tag)
+    if rule is None or rule.counted:
+        return False
+    cedent = ante if rule.side == "ante" else succ
+    swap = rule.shape == "swap"
+    if type(pos) is not int or not 0 <= pos < len(cedent) - swap:  # a bool is no position
+        return False
+    if swap:
+        cedent[pos], cedent[pos + 1] = cedent[pos + 1], cedent[pos]
+    else:
+        del cedent[pos]
+    return True
+
+
+def _explicit(node: Proof) -> Proof:
+    """The explicit nodes that the chain `node` stands for, the bottom one
+    returned: one node per step, over the chain's premises.  Their
+    conclusions are what undoing the steps from the chain's conclusion
+    gives; a step that cannot be undone leaves them as they are (and its
+    node fails the check).  Any other node, or a chain with no steps, is
+    returned as it is."""
+    steps = node.params
+    if node.rule != CHAIN or not steps:
+        return node
+    c = node.conclusion
+    ante, succ = list(c.antecedent), list(c.succedent)
+    conclusions = [c]
+    for tag, pos in steps[:-1]:
+        _undo(tag, pos, ante, succ)
+        conclusions.append(Sequent(tuple(ante), tuple(succ)))
+    premises = node.premises
+    for (tag, pos), conclusion in zip(reversed(steps), reversed(conclusions)):
+        premises = (Proof(conclusion, tag, (("pos", pos),), premises),)
+    return premises[0]
+
+
+def _chain(p: Proof, conclusion: Sequent, steps: tuple[tuple[str, int], ...]) -> Proof:
+    """`p` followed by the weakenings and exchanges `steps`, given from
+    `conclusion` up, as one chain; a chain `p` is merged into it, so a
+    chain's premise is never a chain.  No steps leave `p` as it is."""
+    if not steps:
+        return p
+    if p.rule == CHAIN:
+        steps, p = steps + p.params, p.premises[0]
+    return Proof(conclusion, CHAIN, steps, (p,))
 
 
 def backward(tag: str, s: Sequent, idx: int, terms: tuple[Formula, ...] = ()) -> list[Sequent]:
@@ -370,9 +469,37 @@ def _match_rsubst(s: Sequent) -> Optional[str]:
     return "no argument position carries A on the left and B on the right with equal context"
 
 
+def _check_chain(node: Proof, allow_quantifiers: bool) -> Optional[str]:
+    """A chain in one pass.  It passes exactly when each of its explicit
+    nodes would: their conclusions are defined by undoing the steps, so
+    each passes when its step's position is good, except that the last
+    one's premise must conclude what the undoing leaves; and every formula
+    they hold is in the chain's conclusion, which alone takes the
+    quantifier test."""
+    c = node.conclusion
+    if not allow_quantifiers:
+        for f in c.formulas:
+            if not f.quantifier_free:
+                return "quantified formula in a propositional proof"
+    if len(node.premises) != 1:
+        return f"expects 1 premises, found {len(node.premises)}"
+    if not node.params:
+        return "chain has no steps"
+    ante, succ = list(c.antecedent), list(c.succedent)
+    for tag, pos in node.params:
+        if not _undo(tag, pos, ante, succ):
+            return f"bad step {tag!r} at position {pos!r}"
+    above = node.premises[0].conclusion
+    if tuple(ante) != above.antecedent or tuple(succ) != above.succedent:
+        return "premise is not the conclusion with the steps undone"
+    return None
+
+
 def _validate(node: Proof, allow_quantifiers: bool) -> Optional[str]:
     rule = RULES.get(node.rule)
     if rule is None:
+        if node.rule == CHAIN:
+            return _check_chain(node, allow_quantifiers)
         return f"unknown rule tag {node.rule!r}"
     if not allow_quantifiers:
         if rule.principal in (Forall, Exists):
@@ -449,7 +576,8 @@ def ax_rsubst(a: Formula, b: Formula, before: tuple[Formula, ...], after: tuple[
 
 def restructure(tag: str, p: Proof, pos: int, formula: Optional[Formula] = None) -> Proof:
     """Apply the structural rule `tag` at `pos`; a weakening inserts
-    `formula` there."""
+    `formula` there.  A weakening or exchange joins a chain, a
+    contraction (counted) is a node of its own."""
     rule = RULES[tag]
     cedent, other = _cedents(p.conclusion, rule.side)
     if rule.shape == "insert":
@@ -458,7 +586,10 @@ def restructure(tag: str, p: Proof, pos: int, formula: Optional[Formula] = None)
         cedent = _swap_at(cedent, pos)
     else:
         cedent = _remove_at(cedent, pos)
-    return Proof(_sequent(rule.side, cedent, other), tag, (("pos", pos),), (p,))
+    conclusion = _sequent(rule.side, cedent, other)
+    if rule.counted:
+        return Proof(conclusion, tag, (("pos", pos),), (p,))
+    return _chain(p, conclusion, ((tag, pos),))
 
 
 def introduce(tag: str, ps: tuple[Proof, ...], binder: tuple = (), **params: Any) -> Proof:
@@ -515,27 +646,32 @@ def pad(p: Proof, target: Sequent, keep_ante: list[int], keep_succ: list[int]) -
     `keep_ante` and `keep_succ` give the target positions of the formulas
     already present, in their order.  Each missing formula goes in at its
     own target index: they go in by ascending index, so every earlier
-    position is already filled."""
+    position is already filled.  The result is one chain that concludes
+    `target`."""
+    steps = []
     for side, keep in (("ante", keep_ante), ("succ", keep_succ)):
         weaken = rule_for(side, "insert")
         kept = set(keep)
-        for ti, f in enumerate(_cedents(target, side)[0]):
-            if ti not in kept:
-                p = restructure(weaken, p, ti, f)
-    return p
+        steps += [(weaken, ti) for ti in range(len(_cedents(target, side)[0])) if ti not in kept]
+    steps.reverse()
+    return _chain(p, target, tuple(steps))
 
 
 def move(p: Proof, side: str, src: int, dst: int) -> Proof:
     """Exchange chain moving the formula at src of the cedent on `side`
-    ("ante" or "succ") to dst."""
+    ("ante" or "succ") to dst: one rotation of the cedent between them."""
+    if src == dst:
+        return p
     exch = rule_for(side, "swap")
-    while src < dst:
-        p = restructure(exch, p, src)
-        src += 1
-    while src > dst:
-        p = restructure(exch, p, src - 1)
-        src -= 1
-    return p
+    cedent, other = _cedents(p.conclusion, side)
+    f = cedent[src]
+    if src < dst:  # exchanges at src, src + 1, ..., dst - 1
+        cedent = cedent[:src] + cedent[src + 1 : dst + 1] + (f,) + cedent[dst + 1 :]
+        steps = tuple((exch, i) for i in range(dst - 1, src - 1, -1))
+    else:  # exchanges at src - 1, src - 2, ..., dst
+        cedent = cedent[:dst] + (f,) + cedent[dst:src] + cedent[src + 1 :]
+        steps = tuple((exch, i) for i in range(dst, src))
+    return _chain(p, _sequent(side, cedent, other), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +743,8 @@ class ProofFormatError(ValueError):
 
 
 def proof_to_json(p: Proof) -> dict:
+    if p.rule == CHAIN and p.params:
+        return _chain_to_json(p)
     params = {}
     for key, value in p.params:
         params[key] = syntax.format_formula(value) if key in ("formula", "instance") else value
@@ -616,6 +754,23 @@ def proof_to_json(p: Proof) -> dict:
         "params": params,
         "premises": [proof_to_json(q) for q in p.premises],
     }
+
+
+def _chain_to_json(p: Proof) -> dict:
+    """proof_to_json of a chain's explicit nodes (see _explicit), built
+    without them: each formula of the chain's conclusion is printed once,
+    and each explicit conclusion is joined from those texts."""
+    c = p.conclusion
+    ante = [syntax.format_formula(f) for f in c.antecedent]
+    succ = [syntax.format_formula(f) for f in c.succedent]
+    texts = []
+    for tag, pos in p.params:
+        texts.append(syntax.join_sequent(ante, succ))
+        _undo(tag, pos, ante, succ)
+    data = [proof_to_json(q) for q in p.premises]
+    for (tag, pos), text in zip(reversed(p.params), reversed(texts)):
+        data = [{"conclusion": text, "rule": tag, "params": {"pos": pos}, "premises": data}]
+    return data[0]
 
 
 def proof_from_json(data: Any) -> Proof:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice, repeat
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .formulas import (
     And,
@@ -365,9 +365,12 @@ def format_formula(f: Formula) -> str:
 
 
 def format_sequent(s: Sequent) -> str:
-    ante = ", ".join(map(format_formula, s.antecedent))
-    succ = ", ".join(map(format_formula, s.succedent))
-    return f"{ante} |- {succ}".strip()  # an empty cedent leaves no space
+    return join_sequent(map(format_formula, s.antecedent), map(format_formula, s.succedent))
+
+
+def join_sequent(ante: Iterable[str], succ: Iterable[str]) -> str:
+    """A sequent's text from the texts of its cedents' formulas."""
+    return f"{', '.join(ante)} |- {', '.join(succ)}".strip()  # an empty cedent leaves no space
 
 
 def format_entry(e: Union[Formula, Sequent]) -> str:

@@ -189,6 +189,11 @@ ERROR_FILES = {
         '{"conclusion": "q, p |- p", "rule": "WeakL", "params": {"pos": [0]}, '
         '"premises": [{"conclusion": "p |- p", "rule": "AxId"}]}'
     ),
+    # the tag of an in-memory weakening and exchange chain, which no file holds
+    "chain.json": (
+        '{"conclusion": "q, p |- p", "rule": "Chain", "params": {"WeakL": 0}, '
+        '"premises": [{"conclusion": "p |- p", "rule": "AxId"}]}'
+    ),
     "machine.json": "{}",
     "no_bits.json": NO_BITS_MACHINE,
     # a string where a list of strings belongs, not split into characters
@@ -292,6 +297,10 @@ ERROR_TABLE = {
         "error: {d}/bad_param.json: bad formula parameter formula: 1:4: expected a formula, found 'end of input'\n",
     ),
     "check-list": (["check", "{d}/list.json"], 2, "", "error: {d}/list.json: proof node must be an object\n"),
+    "check-chain": (["check", "{d}/chain.json"], 2, "", "error: {d}/chain.json: unknown rule tag 'Chain'\n"),
+    "check-quantified-chain": (
+        ["check", "{d}/chain.json", "--quantified"], 2, "", "error: {d}/chain.json: unknown rule tag 'Chain'\n",
+    ),
     # an unhashable position from JSON is reported, not hashed
     "check-list-pos": (["check", "{d}/list_pos.json"], 1, "[root] WeakL: bad position [0]\n", ""),
     "compile-tm-malformed": (

@@ -1,15 +1,17 @@
 import dataclasses
 import json
 import random
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from genlib import generate_valid_sequents, random_flat_formula, random_r_free
 from rpcalc import proofs
 from rpcalc.formulas import Atom, Const, Or, RApp, Sequent
 from rpcalc.proofs import (
+    CHAIN,
     Proof,
     ax_false,
     ax_id,
@@ -22,6 +24,7 @@ from rpcalc.proofs import (
     dump_proof,
     load_proof,
     max_line_length,
+    or_r,
     weak_l,
     weak_r,
 )
@@ -301,14 +304,177 @@ def test_check_validates_each_distinct_node_once(monkeypatch):
     monkeypatch.setattr(proofs, "_validate", counting)
     shared = 0
     for proof in built:
-        walked = [node for _, node in proofs.nodes(proof)]
-        distinct = {id(node) for node in walked}
+        # the node objects in memory, reached through their premises (a
+        # chain is one object; nodes() would expand it into fresh ones)
+        walked, stack = [], [proof]
+        while stack:
+            node = stack.pop()
+            walked.append(id(node))
+            stack.extend(node.premises)
+        distinct = set(walked)
         calls.clear()
         assert check_pk(proof) == []
         assert sorted(calls) == sorted(distinct)
         shared += len(distinct) < len(walked)
     # the R steps of criterion 4's templates reuse their schemes
     assert shared >= 5
+
+
+def explicit_steps(chain):
+    """The explicit nodes that a chain stands for, from its conclusion up."""
+    return [node for _, node in proofs.nodes(chain)][: len(chain.params)]
+
+
+def test_builders_keep_weakenings_and_exchanges_as_one_chain():
+    p = weak_l(ax_id(Atom("p")), Atom("q"), 0)
+    p = proofs.move(weak_r(p, Atom("r"), 1), "ante", 0, 1)
+    assert (p.rule, p.params) == (CHAIN, (("ExchL", 0), ("WeakR", 1), ("WeakL", 0)))
+    assert p.premises == (ax_id(Atom("p")),)
+    assert p.conclusion == parse_sequent("p, q |- p, r")
+    assert [node.rule for node in explicit_steps(p)] == ["ExchL", "WeakR", "WeakL"]
+    assert [format_sequent(node.conclusion) for node in explicit_steps(p)] == [
+        "p, q |- p, r", "q, p |- p, r", "q, p |- p",
+    ]
+    # a contraction is counted, so it is a node of its own over the chain
+    contracted = proofs.restructure("ContrL", weak_l(p, Atom("p"), 0), 0)
+    assert contracted.rule == "ContrL" and contracted.premises[0].rule == CHAIN
+    assert check_pk(contracted) == []
+
+
+def test_a_chain_equals_its_explicit_nodes():
+    proof = prove(parse_sequent("p, q |- q & p, r")).proof
+    explicit = next(proofs.nodes(proof))[1]
+    assert proof.rule == CHAIN and explicit.rule == "ExchR"
+    assert proof == explicit and explicit == proof
+    assert hash(proof) == hash(explicit)
+    assert proof == load_proof(dump_proof(proof))
+    # one position or one premise apart is another proof
+    moved = Proof(proof.conclusion, CHAIN, (("ExchR", 1),), proof.premises)
+    assert moved != proof and moved != explicit
+    other_base = Proof(proof.conclusion, CHAIN, proof.params, (ax_true(),))
+    assert other_base != proof and explicit != other_base
+
+
+def test_deep_chains_compare_at_the_default_recursion_limit():
+    # 3,001 nodes: an identity axiom, a weakening and 2,999 exchanges
+    chain = weak_l(ax_id(Atom("p")), Atom("q"), 0)
+    for _ in range(2_999):
+        chain = proofs.exch_l(chain, 0)
+    assert chain.rule == CHAIN and len(chain.params) == 3_000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100_000)  # proof JSON nests one level per node
+    try:
+        text = dump_proof(chain)
+        first, second = load_proof(text), load_proof(text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert first == second
+    assert chain == first and first == chain
+    assert hash(chain) == hash(first)
+    assert check_pk(chain) == [] and check_pk(first) == []
+
+
+POOL = [parse_formula(text) for text in ("p", "q", "~p", "p & q", "R(p, 0)", "r | s")]
+QUANTIFIED = parse_formula("all x. R(x)")
+STRUCTURAL = ("WeakL", "WeakR", "ExchL", "ExchR")
+
+
+@given(st.data())
+def test_chain_check_agrees_with_its_explicit_nodes(data):
+    draw = data.draw
+    formulas = st.lists(st.sampled_from(POOL), max_size=3)
+    # the base's own check is not the chain's
+    base = Proof(Sequent(tuple(draw(formulas)), tuple(draw(formulas))), "AxId", (), ())
+    p = base
+    for tag in draw(st.lists(st.sampled_from(STRUCTURAL), min_size=1, max_size=6)):
+        c = p.conclusion
+        size = len(c.antecedent if tag.endswith("L") else c.succedent)
+        if tag.startswith("Weak"):
+            p = proofs.restructure(tag, p, draw(st.integers(0, size)), draw(st.sampled_from(POOL)))
+        elif size >= 2:
+            p = proofs.restructure(tag, p, draw(st.integers(0, size - 2)))
+    assume(p.rule == CHAIN)
+    ante, succ = list(p.conclusion.antecedent), list(p.conclusion.succedent)
+    steps = list(p.params)
+    mutant = draw(st.sampled_from(["none", "kept order", "formula", "exchange off by one", "bool", "quantified"]))
+    cedent = draw(st.sampled_from([c for c in (ante, succ) if c]))
+    i = draw(st.integers(0, len(cedent) - 1))
+    k = draw(st.integers(0, len(steps) - 1))
+    if mutant == "kept order":
+        j = draw(st.integers(0, len(cedent) - 1))
+        cedent[i], cedent[j] = cedent[j], cedent[i]
+    elif mutant == "formula":
+        cedent[i] = draw(st.sampled_from(POOL))
+    elif mutant == "exchange off by one":
+        exchanges = [n for n, (tag, _) in enumerate(steps) if tag.startswith("Exch")]
+        assume(exchanges)
+        k = draw(st.sampled_from(exchanges))
+        steps[k] = (steps[k][0], steps[k][1] + draw(st.sampled_from([-1, 1])))
+    elif mutant == "bool":
+        steps[k] = (steps[k][0], draw(st.booleans()))
+    elif mutant == "quantified":
+        i = draw(st.integers(0, len(ante)))
+        ante.insert(i, QUANTIFIED)
+        steps.insert(0, ("WeakL", i))
+    chain = Proof(Sequent(tuple(ante), tuple(succ)), CHAIN, tuple(steps), (base,))
+    for allow_quantifiers in (False, True):
+        alone = proofs._validate(chain, allow_quantifiers) is None
+        stepwise = all(proofs._validate(node, allow_quantifiers) is None for node in explicit_steps(chain))
+        assert alone == stepwise
+        if mutant in ("none", "quantified"):
+            assert alone == (allow_quantifiers or mutant == "none")
+        elif mutant == "bool":
+            assert not alone
+    # the report names the explicit nodes, as for the chain loaded from JSON
+    loaded = load_proof(dump_proof(chain))
+    for check in (check_pk, check_g):
+        assert [str(e) for e in check(chain)] == [str(e) for e in check(loaded)]
+
+
+def pinned_chain_mutants():
+    """A chain of weakenings and an exchange between an AxRSubst and an
+    OrR node, and the whole proof with the chain broken in five ways."""
+    p, q, s, t, u = (Atom(name) for name in "pqstu")
+    base = ax_rsubst(p, q, (), ())  # ~p | q, p | ~q, R(p) |- R(q)
+    ante, r_q = (s,) + base.conclusion.antecedent, RApp((q,))
+    padded = proofs.pad(base, Sequent(ante, (u, r_q, t)), [1, 2, 3], [1])
+    chain = proofs.move(padded, "succ", 1, 2)  # s, ~p | q, p | ~q, R(p) |- u, t, R(q)
+    good = or_r(chain)
+    exchange, *weakenings = chain.params
+    assert exchange == ("ExchR", 1)
+
+    def pinned(ante, steps):
+        # under the good proof's OrR node, which fixes the chain's conclusion
+        broken = Proof(Sequent(ante, chain.conclusion.succedent), CHAIN, steps, (base,))
+        return Proof(good.conclusion, "OrR", (), (broken,))
+
+    return good, {
+        "wrong kept order": pinned((s, ante[2], ante[1], ante[3]), chain.params),
+        "wrong inserted formula": pinned((p,) + ante[1:], chain.params),  # p where s goes in
+        "exchange one position off": pinned(ante, (("ExchR", 0), *weakenings)),
+        "bool position": pinned(ante, (("ExchR", True), *weakenings)),  # True == 1, but no position
+        "quantified formula weakened in": or_r(weak_l(chain, QUANTIFIED, 0)),
+    }
+
+
+def test_chain_mutants_fail_in_memory_and_as_explicit_nodes():
+    good, mutants = pinned_chain_mutants()
+    assert check_pk(good) == [] and check_g(good) == []
+    for name, proof in mutants.items():
+        loaded = load_proof(dump_proof(proof))
+        for check in (check_pk, check_g):
+            errors = check(proof)
+            assert [str(e) for e in errors] == [str(e) for e in check(loaded)], name
+            if check is check_g and name == "quantified formula weakened in":
+                assert errors == [], name
+                continue
+            assert errors, name
+            if name == "wrong inserted formula":
+                # as for explicit weakenings, whose checks never read the
+                # formula they insert, only the node below can see it
+                assert [e.path for e in errors] == [()], name
+            else:
+                assert any(e.path for e in errors), name  # a step of the chain fails
 
 
 def test_json_roundtrip():
@@ -334,6 +500,9 @@ def test_json_rejects_garbage():
         load_proof("{not json")
     with pytest.raises(proofs.ProofFormatError):
         load_proof('{"conclusion": "p |- p", "rule": "Nope", "premises": []}')
+    with pytest.raises(proofs.ProofFormatError, match="unknown rule tag 'Chain'"):
+        # files hold a chain's explicit steps, never the in-memory node
+        load_proof('{"conclusion": "q, p |- p", "rule": "Chain", "params": {"WeakL": 0}, "premises": []}')
     with pytest.raises(proofs.ProofFormatError):
         load_proof('{"conclusion": "p p", "rule": "AxId", "premises": []}')
     with pytest.raises(proofs.ProofFormatError):

@@ -234,14 +234,14 @@ def doubled(tag, s, idx, terms=()):
 proofs.backward = doubled
 """
 
-# every conclusion stays right, but exchange nodes record the wrong position
+# every conclusion stays right, but the exchange steps of each chain
+# record the wrong position
 SHIFT_EXCHANGE_POS = """
-made = proofs.Proof
-def shifted(conclusion, rule, params, premises):
-    if rule in ("ExchL", "ExchR"):
-        params = tuple((k, v + 1 if k == "pos" else v) for k, v in params)
-    return made(conclusion, rule, params, premises)
-proofs.Proof = shifted
+made = proofs._chain
+def shifted(p, conclusion, steps):
+    steps = tuple((tag, pos + 1 if tag in ("ExchL", "ExchR") else pos) for tag, pos in steps)
+    return made(p, conclusion, steps)
+proofs._chain = shifted
 """
 
 
