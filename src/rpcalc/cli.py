@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -336,12 +337,23 @@ def main(argv=None) -> int:
     # far deeper than the default limit
     sys.setrecursionlimit(max(limit, 100_000))
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # _read and _emit turn file errors into ValueError, so this is a
+        # write to stdout.  What is left in its buffer goes to the null
+        # device, so that the flush at interpreter exit cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
         sys.setrecursionlimit(limit)

@@ -12,23 +12,28 @@ axioms there is the oracle substitution axiom
 which lets provably equivalent formulas be interchanged as arguments of
 R.  Every rule is one row of RULES; the checker, the builders and the
 provers' backward steps all read that row, so a rule is stated once for
-both sides.  Builders do not check what they make: the provers run
-check_pk or check_g once over each finished proof, which holds under
-`python -O` too.  Every node is locally checkable, and each check
-validates each distinct node object once.  Within one prove or gprove
-call equal scheme subproofs are one object, so a proof in memory is a
-DAG; counted_size, nodes() and the JSON still measure and write it as
-a tree.  counted_size excludes weakenings and exchanges (contractions
-do count).
+both sides.  Structural rules, like logical ones, are undone in one
+place (_undo), which the checker and both chain expansions, to explicit
+nodes and to JSON, read.  Builders do not check what they make: the
+provers run check_pk or check_g once over each finished proof, which
+holds under `python -O` too.  Every node is locally checkable, and
+each check validates each distinct node object once.  Within one prove
+or gprove call equal scheme subproofs are one object, so a proof in
+memory is a DAG; counted_size, nodes() and the JSON still measure and
+write it as a tree.  counted_size excludes weakenings and exchanges
+(contractions do count).
 
 The builders keep each maximal run of weakenings and exchanges as one
 node, a chain (rule CHAIN, a derived rule): its params are the steps'
 (tag, pos) pairs from the conclusion up, and its one premise is the
 node above the run.  The steps' own conclusions are not stored; they
-are what undoing the steps from the chain's conclusion gives, so the
-checker validates a chain in one pass over its steps.  nodes(), the
-JSON and `==` see the explicit nodes a chain stands for, so a chain
-never shows in a proof file, and load_proof refuses its tag.
+are what undoing the steps from the chain's conclusion gives.  The
+checker validates a chain with the check of an explicit structural
+node, which is the case of one step.  nodes(), the JSON and `==` see
+the explicit nodes a chain stands for, so a chain never shows in a
+proof file, and load_proof refuses its tag.  A chain with no steps, or
+with a step that is no weakening or exchange, stands for none: it is
+seen as itself, and fails the check.
 """
 
 from __future__ import annotations
@@ -73,7 +78,10 @@ class Rule:
     - "split": one child per premise replaces the principal;
     - "instance": the body at a stated term replaces the principal;
     - "eigen": the body at a fresh eigenvariable replaces the principal;
-    - "identity", "truth", "falsity", "rsubst", "cut": the axioms and Cut.
+    - "identity", "truth", "falsity", "rsubst", "cut": the axioms and Cut;
+    - "chain": the in-memory chain, whose steps are weakenings and
+      exchanges (its row is not in RULES, and its message is the one
+      for a chain with no steps).
 
     `message` is the failure reported when the premises do not have
     that shape."""
@@ -115,10 +123,13 @@ RULES = {
 }
 
 RULE_TAGS = tuple(RULES)
-# The tag of an in-memory weakening and exchange chain.  It is no row of
+# The tag of an in-memory weakening and exchange chain.  Its row is not in
 # RULES: proof files hold the explicit steps, and load_proof refuses it.
 CHAIN = "Chain"
-UNCOUNTED_TAGS = frozenset(tag for tag, rule in RULES.items() if not rule.counted) | {CHAIN}
+_ROWS = {**RULES, CHAIN: Rule(CHAIN, None, 1, None, "chain", "chain has no steps", False)}
+UNCOUNTED_TAGS = frozenset(tag for tag, rule in _ROWS.items() if not rule.counted)
+# The rows a chain's steps may use: the uncounted rules, weakening and exchange.
+_CHAIN_ROWS = {tag: rule for tag, rule in RULES.items() if not rule.counted}
 _BY_SIDE = {(rule.side, rule.principal or rule.shape): tag for tag, rule in RULES.items()}
 
 
@@ -204,7 +215,7 @@ class CheckError:
 
 def nodes(p: Proof) -> Iterator[tuple[tuple[int, ...], Proof]]:
     """Pre-order traversal of the explicit tree, with premise-index
-    paths: a chain is visited as its explicit nodes."""
+    paths: a chain is visited as the explicit nodes it stands for."""
     stack: list[tuple[tuple[int, ...], Proof]] = [((), p)]
     while stack:
         path, node = stack.pop()
@@ -260,64 +271,56 @@ def _take(side: str, cedent: tuple, k: int) -> tuple[tuple, tuple]:
     return cedent[len(cedent) - k :], cedent[: len(cedent) - k]
 
 
-def _remove_at(xs: tuple, i: int) -> tuple:
-    return xs[:i] + xs[i + 1 :]
-
-
-def _insert_at(xs: tuple, i: int, value) -> tuple:
-    return xs[:i] + (value,) + xs[i:]
-
-
-def _swap_at(xs: tuple, i: int) -> tuple:
-    return xs[:i] + (xs[i + 1], xs[i]) + xs[i + 2 :]
-
-
-# The premise's cedent made from the conclusion's, per structural shape.
-_UNDO = {
-    "insert": _remove_at,
-    "swap": _swap_at,
-    "duplicate": lambda xs, i: _insert_at(xs, i, xs[i]),
-}
-
-
 # ---------------------------------------------------------------------------
-# Chains: a run of weakenings and exchanges as one node.
+# Structural steps, explicit or in a chain (a run of weakenings and
+# exchanges as one node).
 
-def _undo(tag: str, pos: Any, ante: list, succ: list) -> bool:
-    """Undo the chain step (tag, pos) on the cedents `ante` and `succ`, in
-    place: drop the weakened formula or swap the exchanged pair back.  A
-    step that is no weakening or exchange, or whose position is bad as
-    _check_structural reads it, changes nothing and gives False."""
-    rule = RULES.get(tag)
-    if rule is None or rule.counted:
-        return False
+def _undo(rule: Rule, pos: Any, ante: list, succ: list) -> bool:
+    """Undo the structural rule `rule` at `pos` on the cedents `ante` and
+    `succ`, in place: drop the weakened formula, swap the exchanged pair
+    back, or duplicate the contracted formula.  A bad position changes
+    nothing and gives False."""
     cedent = ante if rule.side == "ante" else succ
-    swap = rule.shape == "swap"
-    if type(pos) is not int or not 0 <= pos < len(cedent) - swap:  # a bool is no position
+    shape = rule.shape
+    if type(pos) is not int or not 0 <= pos < len(cedent) - (shape == "swap"):  # a bool is no position
         return False
-    if swap:
+    if shape == "swap":
         cedent[pos], cedent[pos + 1] = cedent[pos + 1], cedent[pos]
-    else:
+    elif shape == "insert":
         del cedent[pos]
+    else:
+        cedent.insert(pos, cedent[pos])
     return True
+
+
+def _expands(node: Proof) -> bool:
+    """Whether `node` is a chain that stands for explicit nodes: one with
+    steps, each a weakening or an exchange.  Any other chain is a node of
+    its own, which fails the check."""
+    return node.rule == CHAIN and bool(node.params) and all(tag in _CHAIN_ROWS for tag, _ in node.params)
+
+
+def _unwind(steps: tuple, ante: list, succ: list) -> Iterator[tuple[list, list]]:
+    """The cedents `ante` and `succ` as they stand below each step of a
+    chain that _expands, from its conclusion up: each step is undone in
+    place after its yield.  A step whose position is bad leaves them as
+    they are (and its explicit node fails the check)."""
+    for tag, pos in steps:
+        yield ante, succ
+        _undo(_CHAIN_ROWS[tag], pos, ante, succ)
 
 
 def _explicit(node: Proof) -> Proof:
     """The explicit nodes that the chain `node` stands for, the bottom one
-    returned: one node per step, over the chain's premises.  Their
-    conclusions are what undoing the steps from the chain's conclusion
-    gives; a step that cannot be undone leaves them as they are (and its
-    node fails the check).  Any other node, or a chain with no steps, is
-    returned as it is."""
-    steps = node.params
-    if node.rule != CHAIN or not steps:
+    returned: one per step, over the chain's premises, concluding what
+    _unwind gives.  A node that does not _expand is returned as it is."""
+    if not _expands(node):
         return node
+    steps = node.params
     c = node.conclusion
-    ante, succ = list(c.antecedent), list(c.succedent)
-    conclusions = [c]
-    for tag, pos in steps[:-1]:
-        _undo(tag, pos, ante, succ)
-        conclusions.append(Sequent(tuple(ante), tuple(succ)))
+    conclusions = [
+        Sequent(tuple(ante), tuple(succ)) for ante, succ in _unwind(steps, list(c.antecedent), list(c.succedent))
+    ]
     premises = node.premises
     for (tag, pos), conclusion in zip(reversed(steps), reversed(conclusions)):
         premises = (Proof(conclusion, tag, (("pos", pos),), premises),)
@@ -345,7 +348,7 @@ def backward(tag: str, s: Sequent, idx: int, terms: tuple[Formula, ...] = ()) ->
     side = rule.side
     cedent, other = _cedents(s, side)
     f = cedent[idx]
-    rest = _remove_at(cedent, idx)
+    rest = cedent[:idx] + cedent[idx + 1 :]
     if rule.shape == "other":
         return [_sequent(side, rest, _put(_OTHER_SIDE[side], other, (f.child,)))]
     if rule.shape == "both":
@@ -371,20 +374,32 @@ def _check_axiom(rule: Rule, node: Proof) -> Optional[str]:
     return None if holds else rule.message
 
 
-def _check_structural(rule: Rule, node: Proof) -> Optional[str]:
-    pos = node.param("pos")
-    cedent, other = _cedents(node.conclusion, rule.side)
-    p_cedent, p_other = _cedents(node.premises[0].conclusion, rule.side)
-    limit = len(cedent) - 1 if rule.shape == "swap" else len(cedent)
-    if type(pos) is not int or not 0 <= pos < limit:  # a bool is no position
-        return f"bad position {pos!r}"
+def _check_structural(node: Proof, steps: tuple, rows: dict) -> Optional[str]:
+    """Undo `steps`, (tag, pos) pairs from the node's conclusion up, each
+    by its row in `rows`; the premise must conclude what is left.  An
+    explicit weakening, exchange or contraction is the case of one step,
+    and a chain's explicit nodes conclude what the same undoing leaves
+    (_unwind), so a chain passes exactly when each of them would.  A
+    mismatch is reported as the last step's row reads it."""
+    c = node.conclusion
+    ante, succ = [*c.antecedent], [*c.succedent]
+    for tag, pos in steps:
+        rule = rows.get(tag)
+        if rule is None:
+            return f"{tag!r} is no step of a chain"
+        if not _undo(rule, pos, ante, succ):
+            return f"bad position {pos!r}"
+    above = node.premises[0].conclusion
+    ante, succ = tuple(ante), tuple(succ)
+    if ante == above.antecedent and succ == above.succedent:
+        return None
+    cedent, other = (ante, succ) if rule.side == "ante" else (succ, ante)
+    p_cedent, p_other = _cedents(above, rule.side)
     if other != p_other:
         return "side cedent changed"
-    if rule.shape == "duplicate" and len(p_cedent) != len(cedent) + 1:
+    if rule.shape == "duplicate" and len(cedent) != len(p_cedent):
         return "premise must contain one extra copy"
-    if _UNDO[rule.shape](cedent, pos) != p_cedent:
-        return rule.message
-    return None
+    return rule.message
 
 
 def _check_introduction(rule: Rule, node: Proof) -> Optional[str]:
@@ -469,40 +484,12 @@ def _match_rsubst(s: Sequent) -> Optional[str]:
     return "no argument position carries A on the left and B on the right with equal context"
 
 
-def _check_chain(node: Proof, allow_quantifiers: bool) -> Optional[str]:
-    """A chain in one pass.  It passes exactly when each of its explicit
-    nodes would: their conclusions are defined by undoing the steps, so
-    each passes when its step's position is good, except that the last
-    one's premise must conclude what the undoing leaves; and every formula
-    they hold is in the chain's conclusion, which alone takes the
-    quantifier test."""
-    c = node.conclusion
-    if not allow_quantifiers:
-        for f in c.formulas:
-            if not f.quantifier_free:
-                return "quantified formula in a propositional proof"
-    if len(node.premises) != 1:
-        return f"expects 1 premises, found {len(node.premises)}"
-    if not node.params:
-        return "chain has no steps"
-    ante, succ = list(c.antecedent), list(c.succedent)
-    for tag, pos in node.params:
-        if not _undo(tag, pos, ante, succ):
-            return f"bad step {tag!r} at position {pos!r}"
-    above = node.premises[0].conclusion
-    if tuple(ante) != above.antecedent or tuple(succ) != above.succedent:
-        return "premise is not the conclusion with the steps undone"
-    return None
-
-
 def _validate(node: Proof, allow_quantifiers: bool) -> Optional[str]:
-    rule = RULES.get(node.rule)
+    rule = _ROWS.get(node.rule)
     if rule is None:
-        if node.rule == CHAIN:
-            return _check_chain(node, allow_quantifiers)
         return f"unknown rule tag {node.rule!r}"
     if not allow_quantifiers:
-        if rule.principal in (Forall, Exists):
+        if rule.principal is Forall or rule.principal is Exists:
             return "quantifier rule is not part of the propositional calculus"
         for f in node.conclusion.formulas:
             if not f.quantifier_free:
@@ -511,8 +498,12 @@ def _validate(node: Proof, allow_quantifiers: bool) -> Optional[str]:
         return f"expects {rule.arity} premises, found {len(node.premises)}"
     if rule.principal is not None:
         return _check_introduction(rule, node)
+    if rule.shape == "chain":
+        # every formula of a chain's explicit nodes is in its conclusion,
+        # so the quantifier scan above covers them all
+        return _check_structural(node, node.params, _CHAIN_ROWS) if node.params else rule.message
     if rule.side is not None:
-        return _check_structural(rule, node)
+        return _check_structural(node, ((rule.tag, node.param("pos")),), RULES)
     if rule.shape == "cut":
         return _check_cut(rule, node)
     return _check_axiom(rule, node)
@@ -580,13 +571,14 @@ def restructure(tag: str, p: Proof, pos: int, formula: Optional[Formula] = None)
     contraction (counted) is a node of its own."""
     rule = RULES[tag]
     cedent, other = _cedents(p.conclusion, rule.side)
+    cedent = list(cedent)
     if rule.shape == "insert":
-        cedent = _insert_at(cedent, pos, formula)
+        cedent.insert(pos, formula)
     elif rule.shape == "swap":
-        cedent = _swap_at(cedent, pos)
+        cedent[pos], cedent[pos + 1] = cedent[pos + 1], cedent[pos]
     else:
-        cedent = _remove_at(cedent, pos)
-    conclusion = _sequent(rule.side, cedent, other)
+        del cedent[pos]
+    conclusion = _sequent(rule.side, tuple(cedent), other)
     if rule.counted:
         return Proof(conclusion, tag, (("pos", pos),), (p,))
     return _chain(p, conclusion, ((tag, pos),))
@@ -743,7 +735,7 @@ class ProofFormatError(ValueError):
 
 
 def proof_to_json(p: Proof) -> dict:
-    if p.rule == CHAIN and p.params:
+    if _expands(p):
         return _chain_to_json(p)
     params = {}
     for key, value in p.params:
@@ -763,10 +755,7 @@ def _chain_to_json(p: Proof) -> dict:
     c = p.conclusion
     ante = [syntax.format_formula(f) for f in c.antecedent]
     succ = [syntax.format_formula(f) for f in c.succedent]
-    texts = []
-    for tag, pos in p.params:
-        texts.append(syntax.join_sequent(ante, succ))
-        _undo(tag, pos, ante, succ)
+    texts = [syntax.join_sequent(a, s) for a, s in _unwind(p.params, ante, succ)]
     data = [proof_to_json(q) for q in p.premises]
     for (tag, pos), text in zip(reversed(p.params), reversed(texts)):
         data = [{"conclusion": text, "rule": tag, "params": {"pos": pos}, "premises": data}]

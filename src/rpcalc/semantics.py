@@ -608,19 +608,20 @@ class _Answers:
 
 
 def holds_universally(
-    f: Formula, structure: Structure, limits: SolverLimits = DEFAULT_LIMITS
+    f: Formula, structure: Structure, max_structures: int = DEFAULT_LIMITS.max_structures
 ) -> bool:
     """Exact check that a closed universally quantified formula holds in
     the given structure, via the pruning expansion (no sampling).  The
     expansion folds with the structure's oracle, so an instance
-    collapses as soon as its R arguments are constant.  Of `limits`,
-    only max_structures binds: BudgetExceeded is raised when the
-    expansion folds more instances than that.  max_universal_vars is
-    not checked, as compiled machines of 46 to 51 universals are checked
-    under the default limits, and max_oracle_strings never binds, as the
-    oracle answers every string before an instance is kept."""
+    collapses as soon as its R arguments are constant.  BudgetExceeded
+    is raised when the expansion folds more than `max_structures`
+    instances.  That is its only budget: the number of universals is
+    not limited, as compiled machines have 46 to 51, and no oracle
+    string budget could bind, as the oracle answers every string before
+    an instance is kept."""
     if free_atoms(f):
         raise ValueError("holds_universally expects a closed formula")
+    limits = SolverLimits(max_structures=max_structures)
     uvars, matrix = pull_universals(f)
     counters = _expansion_counters()
     answers = _Answers(structure.oracle)

@@ -177,7 +177,7 @@ def test_criterion_8_machine_compilation_end_to_end():
     assert run is not None
     witness = witness_structure(normalized, "10", run, info.params)
     limits = SolverLimits(max_universal_vars=64, max_oracle_strings=1 << 16, max_structures=1 << 22)
-    assert holds_universally(formula, witness, limits)
+    assert holds_universally(formula, witness, max_structures=limits.max_structures)
     mode = f"exact over {len(info.universal_vars)} universals"
 
     unsat_formula, _ = compile_with_info(machine, "00", 1)

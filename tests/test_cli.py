@@ -469,6 +469,30 @@ def test_unwritable_stats_leaves_no_proof_in_out(tmp_path, capsys):
     assert proof.read_text() == ""
 
 
+@pytest.mark.parametrize("command", ["parse", "prove"])
+def test_closed_stdout_is_a_usage_error(tmp_path, command):
+    # stdout is a pipe whose read end is closed, so the first write fails
+    seq = tmp_path / "s.sq"
+    seq.write_text("|- (R(p) & R(~p)) => (R(q) | R(~q))\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rpcalc", command, str(seq)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_prove_invalid(tmp_path, capsys):
     seq = tmp_path / "s.sq"
     seq.write_text("R(p) |-\n")

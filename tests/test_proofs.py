@@ -477,6 +477,30 @@ def test_chain_mutants_fail_in_memory_and_as_explicit_nodes():
                 assert any(e.path for e in errors), name  # a step of the chain fails
 
 
+def test_a_chain_holds_only_weakenings_and_exchanges():
+    p = ax_id(Atom("p"))
+    dup = weak_l(p, Atom("p"), 0)  # p, p |- p
+    split = weak_l(p, Atom("q"), 1)  # p, q |- p
+    chains = {
+        "contraction": Proof(p.conclusion, CHAIN, (("ContrL", 0),), (dup,)),
+        "weakening and contraction": Proof(
+            parse_sequent("q, p |- p"), CHAIN, (("WeakL", 0), ("ContrL", 0)), (dup,)
+        ),
+        "logical rule": Proof(parse_sequent("p & q |- p"), CHAIN, (("AndL", 0),), (split,)),
+        "chain tag": Proof(split.conclusion, CHAIN, ((CHAIN, 1),), (p,)),
+        "unknown tag": Proof(split.conclusion, CHAIN, (("Nope", 1),), (p,)),
+        "no steps": Proof(p.conclusion, CHAIN, (), (p,)),
+    }
+    for name, chain in chains.items():
+        # such a chain stands for no explicit nodes: it fails as itself
+        for check in (check_pk, check_g):
+            assert [(e.path, e.rule) for e in check(chain)] == [((), CHAIN)], name
+    # the same steps as explicit nodes pass
+    assert check_pk(proofs.restructure("ContrL", dup, 0)) == []
+    assert check_pk(proofs.introduce("AndL", (split,))) == []
+    assert check_pk(weak_l(p, Atom("q"), 1)) == []
+
+
 def test_json_roundtrip():
     proof = derive_scheme("E3", parse_formula("p | ~q"), (Atom("r"),), (Const(1),))
     text = dump_proof(proof)

@@ -111,7 +111,7 @@ def test_witness_satisfies_start_exhaustively(norm_first1):
     run = simulate(norm_first1, "10", 16)
     witness = witness_structure(norm_first1, "10", run, enc)
     s = build_S(norm_first1, "10", enc)
-    assert holds_universally(s, witness, LIMITS)
+    assert holds_universally(s, witness, max_structures=LIMITS.max_structures)
 
 
 def test_start_length_linear(norm_first1):
@@ -140,7 +140,7 @@ def test_start_rejects_flipped_input_bit(norm_first1):
     key = index_string(enc, 1, 0, 0)
     assert key in witness.oracle
     mutated = Structure({}, witness.oracle - {key})
-    assert not holds_universally(build_S(norm_first1, "10", enc), mutated, LIMITS)
+    assert not holds_universally(build_S(norm_first1, "10", enc), mutated, max_structures=LIMITS.max_structures)
 
 
 def test_witness_satisfies_step_and_mutation_breaks_it(norm_first1):
@@ -148,13 +148,13 @@ def test_witness_satisfies_step_and_mutation_breaks_it(norm_first1):
     run = simulate(norm_first1, "10", 16)
     witness = witness_structure(norm_first1, "10", run, enc)
     step = build_I(norm_first1, enc)
-    assert holds_universally(step, witness, LIMITS)
+    assert holds_universally(step, witness, max_structures=LIMITS.max_structures)
     # the machine is in state q1 over cell 1 at time 1: drop that head flag
     layout_has_offset = 2  # s_bits = 2 for the four-symbol alphabet
     key = index_string(enc, 1, layout_has_offset, 1)
     assert key in witness.oracle
     mutated = Structure({}, witness.oracle - {key})
-    assert not holds_universally(step, mutated, LIMITS)
+    assert not holds_universally(step, mutated, max_structures=LIMITS.max_structures)
 
 
 def test_step_atoms_share_one_arity(norm_first1):
@@ -188,11 +188,11 @@ def test_end_accept_vs_reject(norm_first1):
     end = build_E(norm_first1, enc)
     accept_run = simulate(norm_first1, "10", 16)
     good = witness_structure(norm_first1, "10", accept_run, enc)
-    assert holds_universally(end, good, LIMITS)
+    assert holds_universally(end, good, max_structures=LIMITS.max_structures)
     # a rejecting computation never parks the final state at cell 0
     stuck = initial_config(norm_first1, "00")
     bad = witness_structure(norm_first1, "00", Run((stuck,), ()), enc)
-    assert not holds_universally(end, bad, LIMITS)
+    assert not holds_universally(end, bad, max_structures=LIMITS.max_structures)
 
 
 def _start_end_cases(norm):
@@ -216,14 +216,14 @@ def _start_end_cases(norm):
 def test_exact_check_matches_naive_reference(norm_first1, case):
     formula, structure, holds = _start_end_cases(norm_first1)[case]
     assert naive_holds_universally(formula, structure) is holds
-    assert holds_universally(formula, structure, LIMITS) is holds
+    assert holds_universally(formula, structure, max_structures=LIMITS.max_structures) is holds
 
 
 def test_witness_satisfies_full_matrix(compiled_10, norm_first1):
     formula, info = compiled_10
     run = simulate(norm_first1, "10", 16)
     witness = witness_structure(norm_first1, "10", run, info.params)
-    assert holds_universally(formula, witness, LIMITS)
+    assert holds_universally(formula, witness, max_structures=LIMITS.max_structures)
 
 
 def assert_model_is_accepting_run(formula, info, x):
@@ -261,7 +261,7 @@ def test_immediate_accept_empty_input():
     formula, info = compile_with_info(machine, "", 1)
     run = simulate(norm, "", 4)
     witness = witness_structure(norm, "", run, info.params)
-    assert holds_universally(formula, witness, LIMITS)
+    assert holds_universally(formula, witness, max_structures=LIMITS.max_structures)
     assert_model_is_accepting_run(formula, info, "")
 
 
@@ -272,7 +272,7 @@ def test_nondeterministic_machine_end_to_end():
     formula, info = compile_with_info(machine, "1", 2)
     run = simulate(norm, "1", 8)
     witness = witness_structure(norm, "1", run, info.params)
-    assert holds_universally(formula, witness, LIMITS)
+    assert holds_universally(formula, witness, max_structures=LIMITS.max_structures)
     assert_model_is_accepting_run(formula, info, "1")
     # input '0' forces the solver to abandon the first guess and take
     # the second branch
@@ -302,7 +302,7 @@ def test_three_way_branching():
     assert run.choices[0] == 1  # only the middle branch accepts
     formula, info = compile_with_info(m3, "1", 2)
     witness = witness_structure(norm, "1", run, info.params)
-    assert holds_universally(formula, witness, LIMITS)
+    assert holds_universally(formula, witness, max_structures=LIMITS.max_structures)
     assert_model_is_accepting_run(formula, info, "1")
     assert sat_pi1(compile_machine(m3, "0", 2), LIMITS).status == UNSAT
 
