@@ -729,47 +729,66 @@ def derive_scheme(which: str, a: Formula, before=(), after=()) -> Proof:
 
 # ---------------------------------------------------------------------------
 # JSON interchange: conclusions are stored as surface text and re-parsed.
+# One dump or load handles each distinct formula once: a dict for the
+# call maps each formula node to its text, or each formula text to its
+# node.
 
 class ProofFormatError(ValueError):
     pass
 
 
 def proof_to_json(p: Proof) -> dict:
+    return _to_json(p, {})
+
+
+def _text(f: Formula, texts: dict[Formula, str]) -> str:
+    text = texts.get(f)
+    if text is None:
+        text = texts[f] = syntax.format_formula(f)
+    return text
+
+
+def _cedent_texts(s: Sequent, texts: dict[Formula, str]) -> tuple[list[str], list[str]]:
+    return [_text(f, texts) for f in s.antecedent], [_text(f, texts) for f in s.succedent]
+
+
+def _to_json(p: Proof, texts: dict[Formula, str]) -> dict:
     if _expands(p):
-        return _chain_to_json(p)
+        return _chain_to_json(p, texts)
     params = {}
     for key, value in p.params:
-        params[key] = syntax.format_formula(value) if key in ("formula", "instance") else value
+        params[key] = _text(value, texts) if key in ("formula", "instance") else value
     return {
-        "conclusion": syntax.format_sequent(p.conclusion),
+        "conclusion": syntax.join_sequent(*_cedent_texts(p.conclusion, texts)),
         "rule": p.rule,
         "params": params,
-        "premises": [proof_to_json(q) for q in p.premises],
+        "premises": [_to_json(q, texts) for q in p.premises],
     }
 
 
-def _chain_to_json(p: Proof) -> dict:
-    """proof_to_json of a chain's explicit nodes (see _explicit), built
-    without them: each formula of the chain's conclusion is printed once,
-    and each explicit conclusion is joined from those texts."""
-    c = p.conclusion
-    ante = [syntax.format_formula(f) for f in c.antecedent]
-    succ = [syntax.format_formula(f) for f in c.succedent]
-    texts = [syntax.join_sequent(a, s) for a, s in _unwind(p.params, ante, succ)]
-    data = [proof_to_json(q) for q in p.premises]
-    for (tag, pos), text in zip(reversed(p.params), reversed(texts)):
-        data = [{"conclusion": text, "rule": tag, "params": {"pos": pos}, "premises": data}]
+def _chain_to_json(p: Proof, texts: dict[Formula, str]) -> dict:
+    """_to_json of a chain's explicit nodes (see _explicit), built without
+    them: each explicit conclusion is joined from the texts of the chain
+    conclusion's formulas."""
+    lines = [syntax.join_sequent(a, s) for a, s in _unwind(p.params, *_cedent_texts(p.conclusion, texts))]
+    data = [_to_json(q, texts) for q in p.premises]
+    for (tag, pos), line in zip(reversed(p.params), reversed(lines)):
+        data = [{"conclusion": line, "rule": tag, "params": {"pos": pos}, "premises": data}]
     return data[0]
 
 
 def proof_from_json(data: Any) -> Proof:
+    return _from_json(data, {})
+
+
+def _from_json(data: Any, formulas: dict[str, Formula]) -> Proof:
     if not isinstance(data, dict):
         raise ProofFormatError("proof node must be an object")
     try:
-        conclusion = syntax.parse_sequent(data["conclusion"])
+        conclusion = syntax.parse_sequent_cached(data["conclusion"], formulas)
         rule = data["rule"]
         raw_params = data.get("params", {})
-        premises = tuple([proof_from_json(q) for q in data.get("premises", [])])
+        premises = tuple([_from_json(q, formulas) for q in data.get("premises", [])])
     except ProofFormatError:
         raise
     except KeyError as exc:
@@ -784,7 +803,8 @@ def proof_from_json(data: Any) -> Proof:
     for key, value in raw_params.items():
         if key in ("formula", "instance"):
             try:
-                params[key] = syntax.parse_formula(value)
+                node = formulas.get(value) if isinstance(value, str) else None
+                params[key] = syntax.parse_formula(value) if node is None else node
             except Exception as exc:
                 raise ProofFormatError(f"bad formula parameter {key}: {exc}")
         else:

@@ -17,23 +17,30 @@ group.  Atom names match [a-z][a-zA-Z0-9_]*; `R`, `all`, `ex` are
 reserved.  "#" starts a comment; batch files hold one entry per line.
 Any other character, non-ASCII ones included, is a ParseError.  The
 parser keeps its own operand and operator stacks, so it accepts nesting
-of any depth.
+of any depth.  An R application whose arguments are all atoms and
+constants is read from its one slice of tokens, and each distinct slice
+is built once per parse.  parse_sequent_cached parses a sequent formula
+by formula through a dict that the caller keeps.
 
 The canonical printer makes one pass over the formula, on its own
 stack, and each node writes its text with fixed separators: "p & q",
 "p | q", "~p", "R(p, q)", "all x. p".  One rule, _wrapped, decides
 parentheses: a binary connective looser than its place, or a quantified
 subformula under `~`, `&` or `|` (anywhere but at the top of a formula,
-an R argument or a cedent).  length() counts the tokens of that
-canonical rendering (atoms, constants, connectives, quantifier keywords,
-bound variables, R, parentheses, commas and dots all count 1) from the
-same rule, without printing.
+an R argument or a cedent).  Formulas are DAGs, and the printer writes
+each distinct compound node once per call: later occurrences copy its
+first text.  length() counts the tokens of that canonical rendering
+(atoms, constants, connectives, quantifier keywords, bound variables,
+R, parentheses, commas and dots all count 1) from the same rule,
+without printing.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice, repeat
+from array import array
+from bisect import bisect_right
+from itertools import compress, count, islice, repeat
 from typing import Iterable, Optional, Union
 
 from .formulas import (
@@ -147,6 +154,18 @@ def _expected(what: str, texts: list[str], index: int) -> _Fail:
     return _Fail(index, f"expected {what}, found {texts[index] or 'end of input'!r}")
 
 
+# The tokens that end the run after "R(": all but atoms, constants and commas.
+_STOPS = {kind: kind not in (WORD, CONST, COMMA) for kind in range(BOTTOM, EOF + 1)}
+
+
+def _alternates(kinds: list[int], start: int, stop: int) -> bool:
+    """Whether kinds[start:stop], each an argument or a comma, are
+    arguments separated by single commas, or none at all."""
+    run = kinds[start:stop]
+    n = len(run)
+    return n == 0 or n % 2 == 1 and COMMA not in run[::2] and run.count(COMMA) == n // 2
+
+
 def _reduce(op: int, vals: list) -> None:
     """Apply the operator popped from the stack to the operands on top of
     vals.  A quantifier's operands are its variable's name and its body."""
@@ -176,6 +195,8 @@ def _climb(kinds: list[int], texts: list[str], sequent: bool) -> Union[Formula, 
     vals: list = []
     starts: list[int] = []  # vals heights where open R( argument lists begin
     atoms: dict[str, Formula] = {}
+    flat: dict[tuple[str, ...], Formula] = {}  # R( argument tokens ) -> RApp
+    stops: Optional[array] = None  # indices of tokens that end a flat R( ... ), ascending
     ante: Optional[tuple[Formula, ...]] = None
     cedent_start = 0 if sequent else -1  # token index where an empty cedent may end
     i = 0
@@ -201,10 +222,20 @@ def _climb(kinds: list[int], texts: list[str], sequent: bool) -> Union[Formula, 
             elif k == RSYM:
                 if kinds[i + 1] != LPAREN:
                     raise _Fail(i, "reserved name R used as an atom")
-                if kinds[i + 2] == RPAREN:
-                    vals.append(RApp(()))
-                    i += 3
-                    break
+                # R( with only atoms, constants and commas up to its ")":
+                # read from that one slice, once per distinct slice
+                if stops is None:
+                    stops = array("q", compress(count(), map(_STOPS.__getitem__, kinds)))
+                j = stops[bisect_right(stops, i + 1)]
+                if kinds[j] == RPAREN:
+                    key = tuple(texts[i + 2 : j])
+                    node = flat.get(key)
+                    if node is None and _alternates(kinds, i + 2, j):
+                        node = flat[key] = RApp([_CONSTS[t] if t in _CONSTS else Atom(t) for t in key[::2]])
+                    if node is not None:
+                        vals.append(node)
+                        i = j + 1
+                        break
                 ops.append(RSYM)
                 starts.append(len(vals))
                 i += 2
@@ -288,6 +319,44 @@ def parse_sequent(text: str) -> Sequent:
     return _parse(text, *tokenize(text), True)
 
 
+def parse_sequent_cached(text: str, formulas: dict[str, Formula]) -> Sequent:
+    """parse_sequent(text), with each formula of the sequent looked up in,
+    or parsed into, `formulas` (formula text -> node), which the caller
+    keeps for as long as it likes.  The text is cut at its turnstile and
+    at the commas outside parentheses: "(", ")", "," and "|-" are always
+    tokens of their own, outside a comment.  A text with a comment, or
+    with a piece that is no formula, is parsed whole, so that its error
+    is parse_sequent's."""
+    if isinstance(text, str) and "#" not in text and text.count("|-") == 1:
+        ante, succ = text.split("|-")
+        try:
+            return Sequent(_cedent(ante, formulas), _cedent(succ, formulas))
+        except ValueError:
+            pass
+    return parse_sequent(text)
+
+
+def _cedent(text: str, formulas: dict[str, Formula]) -> tuple[Formula, ...]:
+    """The formulas of a cedent's text, which holds no turnstile and no
+    comment; ValueError if a piece is not a formula."""
+    if not text.strip(" \t\r\n"):  # only the tokenizer's whitespace
+        return ()
+    out = []
+    piece = ""
+    for part in text.split(","):
+        piece = piece + "," + part if piece else part
+        f = formulas.get(piece)  # a known formula text is balanced
+        if f is None:
+            if piece.count("(") != piece.count(")"):
+                continue  # the comma is inside parentheses, or the text is unbalanced
+            f = formulas[piece] = parse_formula(piece)
+        out.append(f)
+        piece = ""
+    if piece:
+        raise ValueError("unbalanced parentheses")
+    return tuple(out)
+
+
 def parse_entry(text: str) -> Union[Formula, Sequent]:
     """Parse a formula or, if a turnstile is present, a sequent."""
     kinds, texts = tokenize(text)
@@ -322,7 +391,14 @@ def _emit(f: Formula, out: list[str]) -> None:
     """Append the text of f to out.  Each node writes its own separators;
     the stack holds pending (formula, level) pairs and literal text.  It
     is explicit because deep conjunction chains and quantifier prefixes
-    exceed the interpreter's recursion limit."""
+    exceed the interpreter's recursion limit.
+
+    A node's own text, without the parentheses its place may add, does
+    not depend on where it stands.  So the first time a compound node is
+    written, a marker (node, -1 - start) below its children records the
+    slice of out that holds its text, and each later occurrence copies
+    that slice: a shared node is walked once per call."""
+    spans: dict[Formula, tuple[int, int]] = {}
     stack: list = [(f, 0)]
     while stack:
         item = stack.pop()
@@ -330,15 +406,25 @@ def _emit(f: Formula, out: list[str]) -> None:
             out.append(item)
             continue
         g, level = item
+        if level < 0:  # the end of g's first text
+            spans[g] = (-1 - level, len(out))
+            continue
         if _wrapped(g, level):
             out.append("(")
             stack.append(")")
         kind = type(g)
         if kind is Atom:
             out.append(g.name)
-        elif kind is Const:
+            continue
+        if kind is Const:
             out.append("1" if g.bit else "0")
-        elif kind is Not:
+            continue
+        span = spans.get(g)
+        if span is not None:
+            out += out[span[0] : span[1]]
+            continue
+        stack.append((g, -1 - len(out)))
+        if kind is Not:
             out.append("~")
             stack.append((g.child, NOT))
         elif kind is And:

@@ -2,13 +2,14 @@ import dataclasses
 import json
 import random
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from genlib import generate_valid_sequents, random_flat_formula, random_r_free
-from rpcalc import proofs
+from rpcalc import proofs, syntax
 from rpcalc.formulas import Atom, Const, Or, RApp, Sequent
 from rpcalc.proofs import (
     CHAIN,
@@ -30,7 +31,8 @@ from rpcalc.proofs import (
 )
 from rpcalc.prover import prove
 from rpcalc.semantics import sequent_valid
-from rpcalc.syntax import format_sequent, length, parse_formula, parse_sequent, sequent_length, tokenize
+from rpcalc.syntax import ParseError, format_sequent, length, parse_formula, parse_sequent, sequent_length, tokenize
+from test_syntax_reference import ascii_text, token_strings
 
 
 def test_axioms_check():
@@ -533,6 +535,48 @@ def test_json_rejects_garbage():
         load_proof('{"conclusion": "p |- p", "rule": "AxId", "params": 5, "premises": []}')
     with pytest.raises(proofs.ProofFormatError):
         load_proof('{"conclusion": "p |- p", "rule": "AxId", "params": ["ab"], "premises": []}')
+    with pytest.raises(proofs.ProofFormatError, match="bad formula parameter formula: expected string"):
+        load_proof('{"conclusion": "p |- p", "rule": "Cut", "params": {"formula": ["p"]}, "premises": []}')
+
+
+@given(st.one_of(token_strings, ascii_text))
+@settings(max_examples=1000)
+@example("p\x0b |- q")
+@example("\x0b |- q")
+@example("p, |- q")
+@example("R(p, q), r |- s")
+@example("p # c |- q")
+@example("(p, q) |- r")
+@example("p, p |- R(p, R(q, p)), p")
+def test_load_path_agrees_with_parse_sequent(text):
+    # load_proof parses a conclusion formula by formula through a memo and
+    # falls back to the whole text, and looks a formula parameter up in the
+    # same memo; the outcome is the plain parse's.  The parameter is the
+    # antecedent's text, which the memo holds when it is one formula.
+    ante = text.split("|-")[0]
+    data = json.dumps({"conclusion": text, "rule": "Cut", "params": {"formula": ante}, "premises": []})
+    try:
+        want = parse_sequent(text)
+    except ParseError as exc:
+        with pytest.raises(proofs.ProofFormatError) as info:
+            load_proof(data)
+        assert str(info.value) == str(exc)
+        return
+    with mock.patch.object(syntax, "parse_sequent", wraps=syntax.parse_sequent) as whole:
+        try:
+            got = load_proof(data)
+        except proofs.ProofFormatError as exc:
+            got = exc
+    if "#" not in text:
+        # a sequent without a comment never needs the whole-text parse
+        assert whole.call_count == 0, text
+    try:
+        param = parse_formula(ante)
+    except ParseError as exc:
+        assert str(got) == f"bad formula parameter formula: {exc}"
+        return
+    assert got.conclusion == want, text  # nodes are hash-consed: equal means the same objects
+    assert got.param("formula") is param, text
 
 
 def test_quantifier_rule_json_params():

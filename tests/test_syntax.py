@@ -5,11 +5,11 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from genlib import random_ast
-from rpcalc.formulas import And, Atom, Not, Or, RApp
+from rpcalc.formulas import And, Atom, Const, Exists, Forall, Not, Or, RApp
 from rpcalc.syntax import (
     ParseError,
     format_entry,
@@ -111,6 +111,12 @@ PRINTED = {
     "p,q|-": "p, q |-",
     " |- ": "|-",
     "p,all x. x|-q,(r)": "p, all x. x |- q, r",
+    # one node, p | q & (ex y. p), printed once and copied: under ~, on
+    # both sides of & and |, as R arguments and as a quantifier body
+    "~(p|q&ex y.p) & ((p|q&ex y.p) | R(p|q&ex y.p,q,p|q&ex y.p) | (p|q&ex y.p) & all x.p|q&ex y.p)": (
+        "~(p | q & (ex y. p)) & (p | q & (ex y. p) | R(p | q & (ex y. p), q, p | q & (ex y. p))"
+        " | (p | q & (ex y. p)) & (all x. p | q & (ex y. p)))"
+    ),
 }
 
 
@@ -120,6 +126,61 @@ def test_printed_text_is_pinned():
         entry = parse_entry(text)
         assert format_entry(entry) == printed, text
         assert parse_entry(printed) == entry, text
+
+
+def tree_text(f, level=0):
+    """The canonical text of f, written out recursively as a tree.  A level
+    is what binds where f stands: 0 at the top, in an R argument and in a
+    quantifier body, 1 left of "|", 2 right of "|" and left of "&", 3
+    right of "&" and under "~"."""
+    kind = type(f)
+    if kind is Atom:
+        return f.name
+    if kind is Const:
+        return str(f.bit)
+    if kind is Not:
+        return "~" + tree_text(f.child, 3)
+    if kind is RApp:
+        return "R(" + ", ".join(tree_text(a) for a in f.args) + ")"
+    if kind is And:
+        text, wrapped = tree_text(f.left, 2) + " & " + tree_text(f.right, 3), level > 2
+    elif kind is Or:
+        text, wrapped = tree_text(f.left, 1) + " | " + tree_text(f.right, 2), level > 1
+    else:
+        word = "all" if kind is Forall else "ex"
+        text, wrapped = f"{word} {f.var}. " + tree_text(f.body), level > 0
+    return f"({text})" if wrapped else text
+
+
+# One subterm, s, under ~, on both sides of & and |, as an R argument and
+# as a quantifier body; the printer writes its first text once and copies it.
+_P, _Q = Atom("p"), Atom("q")
+_S = Or(_P, And(_Q, Exists("y", _P)))
+_SHARED = And(Not(_S), Or(Or(_S, RApp((_S, _Q, _S))), And(_S, Forall("x", _S))))
+
+
+@st.composite
+def pool_formulas(draw):
+    """A formula built over a small pool: each step adds a node over
+    earlier pool members, so subterms recur in many places."""
+    pool = [_P, _Q, Const(0), Const(1)]
+    for _ in range(draw(st.integers(1, 10))):
+        a, b, c = (pool[draw(st.integers(0, len(pool) - 1))] for _ in range(3))
+        pool.append(
+            draw(
+                st.sampled_from(
+                    [Not(a), And(a, b), Or(a, b), RApp((a, b, c)), RApp((a,)), Forall("x", a), Exists("y", b)]
+                )
+            )
+        )
+    return pool[-1]
+
+
+@given(pool_formulas())
+@example(_SHARED)
+@example(_S)
+def test_shared_nodes_print_as_trees_do(f):
+    assert format_formula(f) == tree_text(f)
 
 
 def test_entry_dispatch():
@@ -206,6 +267,7 @@ chains = {{
     "R(": ("R(" * n + "p" + ")" * n, p, lambda g: RApp((g,))),
     "all x.": ("all x. " * n + "x", x, lambda g: Forall("x", g)),
     "(p &": ("(p & " * n + "q" + ")" * n, q, lambda g: And(p, g)),
+    "R(p,": ("R(p, " * n + "q" + ")" * n, q, lambda g: RApp((p, g))),
     "=>": ("p => " * n + "q", q, lambda g: implies(p, g)),
 }}
 for name, (text, node, wrap) in chains.items():

@@ -311,5 +311,7 @@ ascii_text = st.text(alphabet=string.printable + "\x00\x0b", max_size=40)
 @example("p | q => r")
 @example("~p => q")
 @example("all x. x & p => q")
+@example("R(x) & R(x | y)")
+@example("R(p, q) | R(p, q, ~r)")
 def test_parser_matches_reference(text):
     assert_agrees(text)
