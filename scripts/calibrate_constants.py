@@ -4,8 +4,9 @@
 Prints the observed maxima behind the published values in
 rpcalc.constants: the proof-line factor d, the line-length factor e,
 the per-scheme counted sizes, and the decoder gate factor.  Exits 1,
-with a message, when a proof fails to check or an observed value
-exceeds its published constant.
+with a message, when a proof fails to check, an observed value
+exceeds its published constant, or a one-node scheme's counted size or
+longest line differs from its derivation's.
 
 Usage: python scripts/calibrate_constants.py [--seed N] [--sequents N]
 """
@@ -22,7 +23,7 @@ from genlib import generate_valid_sequents, random_flat_formula  # noqa: E402
 from rpcalc.circuits import decoder_circuit  # noqa: E402
 from rpcalc.constants import C_ALPHA, D_LINES, E_LINE_FACTOR, K_E  # noqa: E402
 from rpcalc.formulas import cost_sequent  # noqa: E402
-from rpcalc.proofs import check_pk, counted_size, derive_scheme  # noqa: E402
+from rpcalc.proofs import check_pk, counted_size, derive_scheme, max_line_length, scheme  # noqa: E402
 from rpcalc.prover import prove  # noqa: E402
 from rpcalc.syntax import sequent_length  # noqa: E402
 
@@ -54,10 +55,15 @@ def main() -> int:
 
     rng = random.Random(args.seed)
     for which in ("E1", "E2", "E3", "E4"):
-        sizes = {
-            counted_size(derive_scheme(which, random_flat_formula(rng, depth=d)))
-            for d in (0, 1, 2, 3, 4)
-        }
+        sizes = set()
+        for d in (0, 1, 2, 3, 4):
+            a = random_flat_formula(rng, depth=d)
+            # the prover's one-node scheme must measure as its derivation
+            derived, node = derive_scheme(which, a), scheme(which, a)
+            sizes.add(counted_size(derived))
+            measures = [(counted_size(p), max_line_length(p)) for p in (node, derived)]
+            if measures[0] != measures[1]:
+                failures.append(f"scheme {which} node measures {measures[0]}, its derivation {measures[1]}")
         shown = ", ".join(map(str, sorted(sizes)))
         print(f"scheme {which} counted size : {shown}  published {K_E[which]}")
         if sizes != {K_E[which]}:

@@ -18,29 +18,44 @@ nodes and to JSON, read.  Builders do not check what they make: the
 provers run check_pk or check_g once over each finished proof, which
 holds under `python -O` too.  Every node is locally checkable, and
 each check validates each distinct node object once.  Within one prove
-or gprove call equal scheme subproofs are one object, so a proof in
-memory is a DAG; counted_size, nodes() and the JSON still measure and
-write it as a tree.  counted_size excludes weakenings and exchanges
+or gprove call equal scheme nodes are one object, so a proof in memory
+is a DAG; counted_size, nodes() and the JSON still measure and write it
+as a tree.  counted_size excludes weakenings and exchanges
 (contractions do count).
 
+Two in-memory nodes are derived rules, each standing for explicit nodes
+that it does not store.  nodes(), the JSON and `==` see those explicit
+nodes, so neither shows in a proof file, and load_proof refuses their
+tags.  nodes() and `==` make them once per call for each distinct node
+object.  A chain or scheme node that stands for none is seen as
+itself, and fails the check.
+
 The builders keep each maximal run of weakenings and exchanges as one
-node, a chain (rule CHAIN, a derived rule): its params are the steps'
-(tag, pos) pairs from the conclusion up, and its one premise is the
-node above the run.  The steps' own conclusions are not stored; they
-are what undoing the steps from the chain's conclusion gives.  The
-checker validates a chain with the check of an explicit structural
-node, which is the case of one step.  nodes(), the JSON and `==` see
-the explicit nodes a chain stands for, so a chain never shows in a
-proof file, and load_proof refuses its tag.  A chain with no steps, or
-with a step that is no weakening or exchange, stands for none: it is
-seen as itself, and fails the check.
+node, a chain (rule CHAIN): its params are the steps' (tag, pos) pairs
+from the conclusion up, and its one premise is the node above the run.
+The steps' own conclusions are what undoing the steps from the chain's
+conclusion gives.  The checker validates a chain with the check of an
+explicit structural node, which is the case of one step.  A chain with
+no steps, or with a step that is no weakening or exchange, stands for
+none.
+
+The prover keeps each substitution scheme it uses as one node (rule
+SCHEME, built by scheme()): its params are (which, A, before, after),
+it has no premises, and it stands for derive_scheme(which, A, before,
+after).  Its counted size and longest line come from formula lengths.
+When its params are a scheme's name, a formula and two tuples of
+formulas and it concludes that scheme, it passes the check exactly when
+the derivation would: every step of the derivation checks for any A and
+contexts, and they all occur in the conclusion, which the quantifier
+scan reads.  Any other scheme node stands for nothing.  A failing check
+reports from the explicit nodes, so its errors are the derivation's.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Optional, get_args
 
 from .formulas import (
     And,
@@ -81,7 +96,10 @@ class Rule:
     - "identity", "truth", "falsity", "rsubst", "cut": the axioms and Cut;
     - "chain": the in-memory chain, whose steps are weakenings and
       exchanges (its row is not in RULES, and its message is the one
-      for a chain with no steps).
+      for a chain with no steps);
+    - "scheme": the in-memory substitution scheme, which has no premises
+      (its row is not in RULES, and its message is the one for a
+      conclusion that is not the stated scheme's).
 
     `message` is the failure reported when the premises do not have
     that shape."""
@@ -123,13 +141,21 @@ RULES = {
 }
 
 RULE_TAGS = tuple(RULES)
-# The tag of an in-memory weakening and exchange chain.  Its row is not in
-# RULES: proof files hold the explicit steps, and load_proof refuses it.
+# The tags of an in-memory weakening and exchange chain and of an in-memory
+# substitution scheme.  Their rows are not in RULES: proof files hold the
+# explicit nodes, and load_proof refuses them.
 CHAIN = "Chain"
-_ROWS = {**RULES, CHAIN: Rule(CHAIN, None, 1, None, "chain", "chain has no steps", False)}
+SCHEME = "Scheme"
+_ROWS = {
+    **RULES,
+    CHAIN: Rule(CHAIN, None, 1, None, "chain", "chain has no steps", False),
+    SCHEME: Rule(SCHEME, None, 0, None, "scheme", "conclusion is not the stated scheme's"),
+}
 UNCOUNTED_TAGS = frozenset(tag for tag, rule in _ROWS.items() if not rule.counted)
 # The rows a chain's steps may use: the uncounted rules, weakening and exchange.
 _CHAIN_ROWS = {tag: rule for tag, rule in RULES.items() if not rule.counted}
+# The params whose values are formulas, written as their text in JSON.
+_FORMULA_PARAMS = ("formula", "instance")
 _BY_SIDE = {(rule.side, rule.principal or rule.shape): tag for tag, rule in RULES.items()}
 
 
@@ -146,14 +172,16 @@ class Proof:
     are computed once from the premises' values when the node is made.
     For a chain these are the values of its explicit nodes too: they are
     uncounted, and no line shrinks from a weakening or exchange's
-    premise to its conclusion.
+    premise to its conclusion.  A scheme node takes them from formula
+    lengths (_scheme_lines).
 
-    Two proofs are equal when their explicit trees are (a chain equals
-    the explicit nodes it stands for); the hash is the conclusion's."""
+    Two proofs are equal when their explicit trees are (a chain or a
+    scheme node equals the explicit nodes it stands for); the hash is
+    the conclusion's."""
 
     conclusion: Sequent
     rule: str
-    params: tuple[tuple[str, Any], ...]
+    params: tuple[Any, ...]
     premises: tuple["Proof", ...]
     counted: int = field(init=False, compare=False, repr=False)
     max_line: int = field(init=False, compare=False, repr=False)
@@ -161,6 +189,8 @@ class Proof:
     def __post_init__(self) -> None:
         counted = 0 if self.rule in UNCOUNTED_TAGS else 1
         max_line = syntax.sequent_length(self.conclusion)
+        if self.rule == SCHEME and (step := _scheme_step(self)) is not None:
+            counted, max_line = _scheme_lines(self.params[0], *step, max_line)
         for p in self.premises:
             counted += p.counted
             if p.max_line > max_line:
@@ -170,20 +200,24 @@ class Proof:
 
     def __eq__(self, other: object) -> bool:
         # An explicit stack: chains and loaded proofs nest deeper than the
-        # recursion limit.  Two chains with the same conclusion and steps
-        # stand for the same explicit nodes, so only their premises remain.
+        # recursion limit.  Two chains or scheme nodes with the same
+        # conclusion and params stand for the same explicit nodes, so only
+        # their premises remain.  Each is expanded once per call.
         if not isinstance(other, Proof):
             return NotImplemented
         stack = [(self, other)]
+        expanded: dict[int, Proof] = {}
         while stack:
             a, b = stack.pop()
             if a is b:
                 continue
             if a.conclusion != b.conclusion:
                 return False
-            if (a.rule == CHAIN or b.rule == CHAIN) and not (a.rule == b.rule and a.params == b.params):
-                a, b = _explicit(a), _explicit(b)
-            if a.rule != b.rule or a.params != b.params or len(a.premises) != len(b.premises):
+            if a.rule != b.rule or a.params != b.params:
+                a, b = _explicit(a, expanded), _explicit(b, expanded)
+                if a.rule != b.rule or a.params != b.params:
+                    return False
+            if len(a.premises) != len(b.premises):
                 return False
             stack.extend(zip(a.premises, b.premises))
         return True
@@ -215,12 +249,14 @@ class CheckError:
 
 def nodes(p: Proof) -> Iterator[tuple[tuple[int, ...], Proof]]:
     """Pre-order traversal of the explicit tree, with premise-index
-    paths: a chain is visited as the explicit nodes it stands for."""
+    paths: a chain or a scheme node is visited as the explicit nodes it
+    stands for, made once per call."""
     stack: list[tuple[tuple[int, ...], Proof]] = [((), p)]
+    expanded: dict[int, Proof] = {}
     while stack:
         path, node = stack.pop()
-        if node.rule == CHAIN:
-            node = _explicit(node)
+        if node.rule == CHAIN or node.rule == SCHEME:
+            node = _explicit(node, expanded)
         yield path, node
         for i in range(len(node.premises) - 1, -1, -1):
             stack.append((path + (i,), node.premises[i]))
@@ -310,12 +346,28 @@ def _unwind(steps: tuple, ante: list, succ: list) -> Iterator[tuple[list, list]]
         _undo(_CHAIN_ROWS[tag], pos, ante, succ)
 
 
-def _explicit(node: Proof) -> Proof:
+def _explicit(node: Proof, expanded: dict[int, Proof]) -> Proof:
+    """The explicit nodes that `node` stands for, the bottom one returned:
+    a chain's steps (_chain_steps) or a scheme node's derivation
+    (derive_scheme's tree, from _scheme_tree).  `expanded`, the dict of
+    one call, keeps each expansion by the node's id, so a node reached
+    twice is expanded once.  Any other node is returned as it is."""
+    found = expanded.get(id(node))
+    if found is None:
+        if _expands(node):
+            found = _chain_steps(node)
+        elif (step := _scheme_step(node)) is not None:
+            found = _instantiate(_scheme_tree(node.params[0]), _slots(*step, node.conclusion), _scheme_proof)
+        else:
+            found = node
+        expanded[id(node)] = found
+    return found
+
+
+def _chain_steps(node: Proof) -> Proof:
     """The explicit nodes that the chain `node` stands for, the bottom one
     returned: one per step, over the chain's premises, concluding what
-    _unwind gives.  A node that does not _expand is returned as it is."""
-    if not _expands(node):
-        return node
+    _unwind gives."""
     steps = node.params
     c = node.conclusion
     conclusions = [
@@ -502,6 +554,14 @@ def _validate(node: Proof, allow_quantifiers: bool) -> Optional[str]:
         # every formula of a chain's explicit nodes is in its conclusion,
         # so the quantifier scan above covers them all
         return _check_structural(node, node.params, _CHAIN_ROWS) if node.params else rule.message
+    if rule.shape == "scheme":
+        # A and the contexts occur in the conclusion, so the scan above
+        # covers every formula of the derivation, which checks for any of them
+        if _scheme_step(node) is not None:
+            return None
+        if _scheme_params(node.params):
+            return rule.message
+        return "params are not a scheme, a formula and two tuples of formulas"
     if rule.side is not None:
         return _check_structural(node, ((rule.tag, node.param("pos")),), RULES)
     if rule.shape == "cut":
@@ -678,6 +738,66 @@ _SCHEMES = {
     "E3": ("succ", True),  # R(...A...) |- A, R(...0...)
     "E4": ("succ", False),  # R(...0...) |- A, R(...A...)
 }
+_FORMULAS = get_args(Formula)
+
+
+def _scheme_sides(which: str, a: Formula, before: tuple, after: tuple) -> tuple[Formula, Formula, Sequent]:
+    """X and Y, R's argument before and after the step of scheme `which`,
+    and the scheme's conclusion pre, R(..X..) |- post, R(..Y..), where A
+    is pre with A in the antecedent and post with A in the succedent."""
+    side, a_first = _SCHEMES[which]
+    ante = side == "ante"
+    const = Const(1) if ante else Const(0)
+    x, y = (a, const) if a_first else (const, a)
+    pre, post = ((a,), ()) if ante else ((), (a,))
+    return x, y, Sequent(pre + (RApp(before + (x,) + after),), post + (RApp(before + (y,) + after),))
+
+
+def _scheme_step(node: Proof) -> Optional[tuple[Formula, Formula]]:
+    """X and Y of the scheme node `node` when it stands for
+    derive_scheme(*node.params): it has no premises, its params are a
+    scheme's name, a formula A and two tuples of formulas (the arguments
+    before and after A), and it concludes that scheme.  None for any
+    other node; such a scheme node stands for nothing and fails the
+    check."""
+    if node.rule != SCHEME or node.premises or not _scheme_params(node.params):
+        return None
+    x, y, conclusion = _scheme_sides(*node.params)
+    return (x, y) if conclusion == node.conclusion else None
+
+
+def _scheme_params(params: Any) -> bool:
+    """Whether `params` are a scheme's name, a formula and two tuples of
+    formulas."""
+    if type(params) is not tuple or len(params) != 4:
+        return False
+    which, a, before, after = params
+    if type(which) is not str or which not in _SCHEMES or type(before) is not tuple or type(after) is not tuple:
+        return False
+    return all(isinstance(f, _FORMULAS) for f in (a, *before, *after))
+
+
+def _scheme_lines(which: str, x: Formula, y: Formula, length: int) -> tuple[int, int]:
+    """derive_scheme's counted lines and longest line, from X, Y and the
+    length of its conclusion.  It counts AxRSubst, two Cuts and, in each
+    half, an axiom and an OrR, and a NotR too with A in the succedent: 7
+    or 9.  Its longest line is the conclusion with ~X | Y and X | ~Y
+    added, each after a comma (the premises of the inner Cut).  Every
+    other line holds some of those formulas, or, in a half, A and the two
+    disjuncts of one half, which print no longer than A and the half."""
+    counted = 7 if _SCHEMES[which][0] == "ante" else 9
+    return counted, length + syntax.length(Or(Not(x), y)) + syntax.length(Or(x, Not(y))) + 2
+
+
+def scheme(which: str, a: Formula, before=(), after=()) -> Proof:
+    """derive_scheme(which, a, before, after) as one node, a derived rule:
+    params (which, a, before, after), no premises, and the scheme's
+    conclusion.  Its counted size and longest line are the derivation's,
+    and nodes(), the JSON and `==` see the derivation."""
+    if which not in _SCHEMES:
+        raise ValueError(f"unknown scheme {which!r}")
+    before, after = tuple(before), tuple(after)
+    return Proof(_scheme_sides(which, a, before, after)[2], SCHEME, (which, a, before, after), ())
 
 
 def _fit(p: Proof, target: Sequent, last: int) -> Proof:
@@ -700,11 +820,9 @@ def derive_scheme(which: str, a: Formula, before=(), after=()) -> Proof:
     side, a_first = _SCHEMES[which]
     ante = side == "ante"
     before, after = tuple(before), tuple(after)
-    const = Const(1) if ante else Const(0)
-    x, y = (a, const) if a_first else (const, a)
-    r_x = RApp(before + (x,) + after)
-    pre, post = ((a,), ()) if ante else ((), (a,))
-    gamma, delta = pre + (r_x,), post + (RApp(before + (y,) + after),)
+    x, y, goal = _scheme_sides(which, a, before, after)
+    gamma, delta = goal.antecedent, goal.succedent
+    pre, r_x, post = gamma[:-1], gamma[-1], delta[:-1]
 
     def half(h: Or, k: int, from_a: bool) -> Proof:
         # h from its disjunct at k (0 left, 1 right), built from A or the constant
@@ -727,18 +845,81 @@ def derive_scheme(which: str, a: Formula, before=(), after=()) -> Proof:
     return cut(_fit(p1, Sequent(gamma, delta + (h1,)), len(delta)), move(c1, "ante", n, 0))
 
 
+# derive_scheme's explicit tree for each scheme, with each formula given
+# by its index in _slots.  The tree's shape does not depend on A or the
+# contexts (the construction never compares formulas), so a scheme node's
+# explicit nodes, as Proof objects or as JSON, are this tree over its own
+# slot values.  Each tree is made at its first use, so importing builds
+# no proof; the four trees are constants, whoever asks first.
+_SCHEME_TREES: dict[str, tuple] = {}
+
+
+def _slots(x: Formula, y: Formula, conclusion: Sequent) -> tuple[Formula, ...]:
+    """Every formula of the derivation with argument X before and Y after
+    the step: A is one of X and Y and the constant the other, and the R
+    applications end the conclusion's cedents."""
+    not_x, not_y = Not(x), Not(y)
+    return x, y, not_x, not_y, Or(not_x, y), Or(x, not_y), conclusion.antecedent[-1], conclusion.succedent[-1]
+
+
+def _scheme_tree(which: str) -> tuple:
+    """derive_scheme's explicit tree for `which` over the atom a and no
+    contexts, as nested (antecedent, succedent, rule, params, premises)
+    with slot indices in place of formulas."""
+    tree = _SCHEME_TREES.get(which)
+    if tree is None:
+        a = Atom("a")
+        x, y, conclusion = _scheme_sides(which, a, (), ())
+        slots = {f: i for i, f in enumerate(_slots(x, y, conclusion))}
+        expanded: dict[int, Proof] = {}
+
+        def walk(node: Proof) -> tuple:
+            if node.rule == CHAIN:
+                node = _explicit(node, expanded)
+            c = node.conclusion
+            return (
+                [slots[f] for f in c.antecedent],
+                [slots[f] for f in c.succedent],
+                node.rule,
+                tuple((k, slots[v] if k in _FORMULA_PARAMS else v) for k, v in node.params),
+                [walk(q) for q in node.premises],
+            )
+
+        tree = _SCHEME_TREES[which] = walk(derive_scheme(which, a))
+    return tree
+
+
+def _instantiate(tree: tuple, values: tuple, make: Any) -> Any:
+    """The tree `tree` with the slot values `values`: each node is
+    make(antecedent, succedent, rule, params, premises), its premises made
+    first."""
+    ante, succ, rule, params, premises = tree
+    return make(
+        [values[i] for i in ante],
+        [values[i] for i in succ],
+        rule,
+        tuple((k, values[v] if k in _FORMULA_PARAMS else v) for k, v in params),
+        [_instantiate(q, values, make) for q in premises],
+    )
+
+
+def _scheme_proof(ante: list, succ: list, rule: str, params: tuple, premises: list) -> Proof:
+    return Proof(Sequent(tuple(ante), tuple(succ)), rule, params, tuple(premises))
+
+
 # ---------------------------------------------------------------------------
 # JSON interchange: conclusions are stored as surface text and re-parsed.
 # One dump or load handles each distinct formula once: a dict for the
 # call maps each formula node to its text, or each formula text to its
-# node.
+# node.  A dump writes each distinct scheme node's derivation once, and
+# every place it occurs shares that one dict.
 
 class ProofFormatError(ValueError):
     pass
 
 
 def proof_to_json(p: Proof) -> dict:
-    return _to_json(p, {})
+    return _to_json(p, {}, {})
 
 
 def _text(f: Formula, texts: dict[Formula, str]) -> str:
@@ -752,26 +933,38 @@ def _cedent_texts(s: Sequent, texts: dict[Formula, str]) -> tuple[list[str], lis
     return [_text(f, texts) for f in s.antecedent], [_text(f, texts) for f in s.succedent]
 
 
-def _to_json(p: Proof, texts: dict[Formula, str]) -> dict:
+def _to_json(p: Proof, texts: dict[Formula, str], derived: dict[tuple, dict]) -> dict:
+    """p as JSON; `derived` maps the params of each scheme node written so
+    far in this dump to its derivation's JSON."""
     if _expands(p):
-        return _chain_to_json(p, texts)
+        return _chain_to_json(p, texts, derived)
+    if p.rule == SCHEME and (step := _scheme_step(p)) is not None:
+        data = derived.get(p.params)
+        if data is None:
+            values = [_text(f, texts) for f in _slots(*step, p.conclusion)]
+            data = derived[p.params] = _instantiate(_scheme_tree(p.params[0]), values, _node_json)
+        return data
     params = {}
     for key, value in p.params:
-        params[key] = _text(value, texts) if key in ("formula", "instance") else value
+        params[key] = _text(value, texts) if key in _FORMULA_PARAMS else value
     return {
         "conclusion": syntax.join_sequent(*_cedent_texts(p.conclusion, texts)),
         "rule": p.rule,
         "params": params,
-        "premises": [_to_json(q, texts) for q in p.premises],
+        "premises": [_to_json(q, texts, derived) for q in p.premises],
     }
 
 
-def _chain_to_json(p: Proof, texts: dict[Formula, str]) -> dict:
-    """_to_json of a chain's explicit nodes (see _explicit), built without
-    them: each explicit conclusion is joined from the texts of the chain
-    conclusion's formulas."""
+def _node_json(ante: list[str], succ: list[str], rule: str, params: tuple, premises: list[dict]) -> dict:
+    return {"conclusion": syntax.join_sequent(ante, succ), "rule": rule, "params": dict(params), "premises": premises}
+
+
+def _chain_to_json(p: Proof, texts: dict[Formula, str], derived: dict[tuple, dict]) -> dict:
+    """_to_json of a chain's explicit nodes (see _chain_steps), built
+    without them: each explicit conclusion is joined from the texts of the
+    chain conclusion's formulas."""
     lines = [syntax.join_sequent(a, s) for a, s in _unwind(p.params, *_cedent_texts(p.conclusion, texts))]
-    data = [_to_json(q, texts) for q in p.premises]
+    data = [_to_json(q, texts, derived) for q in p.premises]
     for (tag, pos), line in zip(reversed(p.params), reversed(lines)):
         data = [{"conclusion": line, "rule": tag, "params": {"pos": pos}, "premises": data}]
     return data[0]
@@ -801,7 +994,7 @@ def _from_json(data: Any, formulas: dict[str, Formula]) -> Proof:
         raise ProofFormatError("params must be an object")
     params = {}
     for key, value in raw_params.items():
-        if key in ("formula", "instance"):
+        if key in _FORMULA_PARAMS:
             try:
                 node = formulas.get(value) if isinstance(value, str) else None
                 params[key] = syntax.parse_formula(value) if node is None else node

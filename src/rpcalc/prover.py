@@ -168,12 +168,14 @@ def connective_step(s: Sequent, side: str, idx: int) -> tuple[list[Sequent], Reb
 
 
 def _scheme(schemes: dict, which: str, a: Formula, before: tuple, after: tuple) -> Proof:
-    """derive_scheme's proof, made once per key in `schemes`, the cache of
-    one prove or gprove call, so equal scheme subproofs are one object."""
+    """The substitution scheme as one derived-rule node (proofs.scheme),
+    which stands for derive_scheme's proof without building it.  It is
+    made once per key in `schemes`, the cache of one prove or gprove call,
+    so equal schemes are one object."""
     key = (which, a, before, after)
     proof = schemes.get(key)
     if proof is None:
-        proof = schemes[key] = proofs.derive_scheme(*key)
+        proof = schemes[key] = proofs.scheme(*key)
     return proof
 
 

@@ -194,6 +194,8 @@ ERROR_FILES = {
         '{"conclusion": "q, p |- p", "rule": "Chain", "params": {"WeakL": 0}, '
         '"premises": [{"conclusion": "p |- p", "rule": "AxId"}]}'
     ),
+    # the tag of an in-memory substitution scheme, which no file holds either
+    "scheme.json": '{"conclusion": "p, R(p) |- R(1)", "rule": "Scheme", "params": {}, "premises": []}',
     "machine.json": "{}",
     "no_bits.json": NO_BITS_MACHINE,
     # a string where a list of strings belongs, not split into characters
@@ -300,6 +302,10 @@ ERROR_TABLE = {
     "check-chain": (["check", "{d}/chain.json"], 2, "", "error: {d}/chain.json: unknown rule tag 'Chain'\n"),
     "check-quantified-chain": (
         ["check", "{d}/chain.json", "--quantified"], 2, "", "error: {d}/chain.json: unknown rule tag 'Chain'\n",
+    ),
+    "check-scheme": (["check", "{d}/scheme.json"], 2, "", "error: {d}/scheme.json: unknown rule tag 'Scheme'\n"),
+    "check-quantified-scheme": (
+        ["check", "{d}/scheme.json", "--quantified"], 2, "", "error: {d}/scheme.json: unknown rule tag 'Scheme'\n",
     ),
     # an unhashable position from JSON is reported, not hashed
     "check-list-pos": (["check", "{d}/list_pos.json"], 1, "[root] WeakL: bad position [0]\n", ""),

@@ -45,7 +45,8 @@ COMMANDS = [
 
 TOKENS = ["~", "&", "|", "=>", "<=>", "|-", ",", "(", ")", "R(", "all x.", "ex y.", "x", "p", "0", "1", "#", "\n"]
 JSON_VALUES = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 10**20), st.sampled_from(["", "p |- p", "WeakL", "Chain", "q0", "R"]),
+    st.none(), st.booleans(), st.integers(-3, 10**20),
+    st.sampled_from(["", "p |- p", "WeakL", "Chain", "Scheme", "q0", "R"]),
     st.lists(st.integers(0, 3), max_size=2), st.just({}),
 )
 

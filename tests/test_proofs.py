@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from genlib import generate_valid_sequents, random_flat_formula, random_r_free
 from rpcalc import proofs, syntax
-from rpcalc.formulas import Atom, Const, Or, RApp, Sequent
+from rpcalc.formulas import And, Atom, Const, Not, Or, RApp, Sequent
 from rpcalc.proofs import (
     CHAIN,
+    SCHEME,
     Proof,
     ax_false,
     ax_id,
@@ -503,6 +504,136 @@ def test_a_chain_holds_only_weakenings_and_exchanges():
     assert check_pk(weak_l(p, Atom("q"), 1)) == []
 
 
+SCHEME_NAMES = ("E1", "E2", "E3", "E4")
+# formulas for A and the contexts: the constants and a quantified formula
+# come up often, and A may recur in a context
+SCHEME_ARGS = st.recursive(
+    st.sampled_from([Atom("p"), Atom("q"), Const(0), Const(1), QUANTIFIED]),
+    lambda inner: st.one_of(
+        st.builds(Not, inner),
+        st.builds(And, inner, inner),
+        st.builds(Or, inner, inner),
+        st.lists(inner, max_size=2).map(lambda args: RApp(tuple(args))),
+    ),
+    max_leaves=5,
+)
+
+
+@given(st.data())
+def test_a_scheme_node_is_its_derivation(data):
+    draw = data.draw
+    which = draw(st.sampled_from(SCHEME_NAMES))
+    a = draw(SCHEME_ARGS)
+    before, after = (tuple(draw(st.lists(SCHEME_ARGS, max_size=2))) for _ in range(2))
+    if draw(st.booleans()):
+        before = before + (a,)  # A inside a context too
+    check_scheme_node(which, a, before, after, draw(st.sampled_from([w for w in SCHEME_NAMES if w != which])))
+
+
+@pytest.mark.parametrize(
+    "which, a, before, after",
+    [
+        ("E3", QUANTIFIED, (Atom("q"),), ()),  # quantified A in the succedent
+        ("E1", Const(1), (), (Atom("p"),)),  # A the constant
+        ("E4", Const(0), (Const(0),), ()),  # A the constant, and in a context
+        ("E2", parse_formula("p & q"), (parse_formula("p & q"),), (Atom("r"),)),  # A inside a context
+    ],
+)
+def test_named_scheme_nodes_are_their_derivations(which, a, before, after):
+    for other in SCHEME_NAMES:
+        if other != which:
+            check_scheme_node(which, a, before, after, other)
+
+
+def check_scheme_node(which, a, before, after, other):
+    """The scheme node against derive_scheme(which, a, before, after), and
+    ten mutants of it, one of them with scheme `other`'s conclusion."""
+    node, derived = proofs.scheme(which, a, before, after), derive_scheme(which, a, before, after)
+    assert (node.rule, node.params, node.premises) == (SCHEME, (which, a, before, after), ())
+    assert node == derived and derived == node
+    assert (node.counted, node.max_line) == (derived.counted, derived.max_line)
+    assert dump_proof(node) == dump_proof(derived)
+    assert [(path, n.conclusion, n.rule, n.params) for path, n in proofs.nodes(node)] == [
+        (path, n.conclusion, n.rule, n.params) for path, n in proofs.nodes(derived)
+    ]
+    for check in (check_pk, check_g):
+        assert check(node) == check(derived)
+    assert check_g(node) == []
+    # params that stand for no derivation of this conclusion: the node is
+    # seen as itself, and fails as itself
+    mutants = {
+        "another scheme's conclusion": Proof(proofs.scheme(other, a, before, after).conclusion, SCHEME, node.params, ()),
+        "contexts swapped": Proof(node.conclusion, SCHEME, (which, a, after, before), ()),
+        "another A": Proof(node.conclusion, SCHEME, (which, Not(a), before, after), ()),
+        "unknown scheme": Proof(node.conclusion, SCHEME, ("E5", a, before, after), ()),
+        "A a string": Proof(node.conclusion, SCHEME, (which, "p", before, after), ()),
+        "a context a list": Proof(node.conclusion, SCHEME, (which, a, before, list(after)), ()),
+        "a context holding a string": Proof(node.conclusion, SCHEME, (which, a, before, after + ("p",)), ()),
+        "three params": Proof(node.conclusion, SCHEME, (which, a, before), ()),
+        "params a list": Proof(node.conclusion, SCHEME, [which, a, before, after], ()),
+        "a premise": Proof(node.conclusion, SCHEME, node.params, (ax_true(),)),
+    }
+    # with A the constant, E1 and E2 (or E3 and E4) conclude the same
+    # sequent, and so can the contexts swapped
+    if mutants["another scheme's conclusion"].conclusion == node.conclusion:
+        del mutants["another scheme's conclusion"]
+    if proofs.scheme(which, a, after, before).conclusion == node.conclusion:
+        del mutants["contexts swapped"]
+    for name, mutant in mutants.items():
+        assert mutant != node and node != mutant, name
+        assert list(proofs.nodes(mutant))[0] == ((), mutant), name
+        for check in (check_pk, check_g):
+            assert [(e.path, e.rule) for e in check(mutant)] == [((), SCHEME)], name
+
+
+def test_the_prover_makes_each_scheme_one_node():
+    proof = prove(parse_sequent("R(p & q), p |- R(q & p)")).proof
+    found, stack = [], [proof]
+    while stack:
+        node = stack.pop()
+        found += [node] if node.rule == SCHEME else []
+        stack.extend(node.premises)
+    assert {node.params[0] for node in found} == {"E1", "E2", "E3", "E4"}
+    for node in found:
+        assert node.counted == (7 if node.params[0] in ("E1", "E2") else 9)
+        assert node == derive_scheme(*node.params)
+    assert check_pk(proof) == []
+    # a file holds the derivations, so the loaded proof has no scheme node
+    loaded = load_proof(dump_proof(proof))
+    assert loaded == proof and all(node.rule != SCHEME for _, node in proofs.nodes(loaded))
+
+
+def test_walks_and_equality_expand_a_shared_node_once():
+    s = proofs.scheme("E3", parse_formula("p & q"), (Atom("r"),), ())
+    chain = proofs.exch_l(weak_l(ax_id(Atom("p")), Atom("q"), 0), 0)
+    root = Proof(s.conclusion, "Cut", (), (s, s, chain, chain))  # unchecked: only its walk matters
+    derived = derive_scheme(*s.params)
+    chains, stack = set(), [derived]
+    while stack:
+        node = stack.pop()
+        chains |= {id(node)} if node.rule == CHAIN else set()
+        stack.extend(node.premises)
+    proofs._scheme_tree("E3")  # made once per process
+    with mock.patch.object(proofs, "_scheme_tree", wraps=proofs._scheme_tree) as trees, mock.patch.object(
+        proofs, "_chain_steps", wraps=proofs._chain_steps
+    ) as steps:
+        walked = list(proofs.nodes(root))
+        assert (trees.call_count, steps.call_count) == (1, 1)
+        # the explicit nodes under either copy are the same objects
+        below = [[node for path, node in walked if path[:1] == (i,)] for i in range(4)]
+        assert len(below[0]) == 19 and all(x is y for x, y in zip(below[0], below[1]))
+        assert len(below[2]) == 3 and all(x is y for x, y in zip(below[2], below[3]))
+        trees.reset_mock()
+        steps.reset_mock()
+        assert Proof(s.conclusion, "Cut", (), (s, s)) == Proof(s.conclusion, "Cut", (), (derived, derived))
+        assert (trees.call_count, steps.call_count) == (1, len(chains))
+        trees.reset_mock()
+        # a dump writes the scheme's derivation once, shared by both places
+        data = proofs.proof_to_json(root)
+        assert trees.call_count == 1 and data["premises"][0] is data["premises"][1]
+        assert data["premises"][0] == proofs.proof_to_json(derived)
+
+
 def test_json_roundtrip():
     proof = derive_scheme("E3", parse_formula("p | ~q"), (Atom("r"),), (Const(1),))
     text = dump_proof(proof)
@@ -529,6 +660,8 @@ def test_json_rejects_garbage():
     with pytest.raises(proofs.ProofFormatError, match="unknown rule tag 'Chain'"):
         # files hold a chain's explicit steps, never the in-memory node
         load_proof('{"conclusion": "q, p |- p", "rule": "Chain", "params": {"WeakL": 0}, "premises": []}')
+    with pytest.raises(proofs.ProofFormatError, match="unknown rule tag 'Scheme'"):
+        load_proof('{"conclusion": "p, R(p) |- R(1)", "rule": "Scheme", "params": {}, "premises": []}')
     with pytest.raises(proofs.ProofFormatError):
         load_proof('{"conclusion": "p p", "rule": "AxId", "premises": []}')
     with pytest.raises(proofs.ProofFormatError):
@@ -723,6 +856,24 @@ CHECK_MESSAGES = [
     (
         bare("all x. R(x) |- R(0)", "AllL", leaf("R(0) |- R(0)"), instance="0"),
         "[root] AllL: quantifier rule is not part of the propositional calculus",
+    ),
+    (
+        Proof(parse_sequent("p, R(p) |- R(1)"), SCHEME, ("E2", Atom("p"), (), ()), ()),
+        "[root] Scheme: conclusion is not the stated scheme's",
+    ),
+    (
+        Proof(parse_sequent("p, R(p) |- R(1)"), SCHEME, ("E5", Atom("p"), (), ()), ()),
+        "[root] Scheme: params are not a scheme, a formula and two tuples of formulas",
+    ),
+    (
+        Proof(parse_sequent("p, R(p) |- R(1)"), SCHEME, ("E1", Atom("p"), (), ()), (leaf("p |- p"),)),
+        "[root] Scheme: expects 0 premises, found 1",
+    ),
+    (
+        # a good scheme node fails where its derivation does, and is
+        # reported as its derivation's nodes, whose root is a Cut
+        Proof(parse_sequent("all x. x, R(all x. x) |- R(1)"), SCHEME, ("E1", parse_formula("all x. x"), (), ()), ()),
+        "[root] Cut: quantified formula in a propositional proof",
     ),
 ]
 
