@@ -857,24 +857,6 @@ CHECK_MESSAGES = [
         bare("all x. R(x) |- R(0)", "AllL", leaf("R(0) |- R(0)"), instance="0"),
         "[root] AllL: quantifier rule is not part of the propositional calculus",
     ),
-    (
-        Proof(parse_sequent("p, R(p) |- R(1)"), SCHEME, ("E2", Atom("p"), (), ()), ()),
-        "[root] Scheme: conclusion is not the stated scheme's",
-    ),
-    (
-        Proof(parse_sequent("p, R(p) |- R(1)"), SCHEME, ("E5", Atom("p"), (), ()), ()),
-        "[root] Scheme: params are not a scheme, a formula and two tuples of formulas",
-    ),
-    (
-        Proof(parse_sequent("p, R(p) |- R(1)"), SCHEME, ("E1", Atom("p"), (), ()), (leaf("p |- p"),)),
-        "[root] Scheme: expects 0 premises, found 1",
-    ),
-    (
-        # a good scheme node fails where its derivation does, and is
-        # reported as its derivation's nodes, whose root is a Cut
-        Proof(parse_sequent("all x. x, R(all x. x) |- R(1)"), SCHEME, ("E1", parse_formula("all x. x"), (), ()), ()),
-        "[root] Cut: quantified formula in a propositional proof",
-    ),
 ]
 
 QUANTIFIER_MESSAGES = [
@@ -954,11 +936,35 @@ QUANTIFIER_MESSAGES = [
     ),
 ]
 
+# after the quantifier cases, so that adding them left the ids of the
+# cases above unchanged
+SCHEME_MESSAGES = [
+    (
+        Proof(parse_sequent("p, R(p) |- R(1)"), SCHEME, ("E2", Atom("p"), (), ()), ()),
+        "[root] Scheme: conclusion is not the stated scheme's",
+    ),
+    (
+        Proof(parse_sequent("p, R(p) |- R(1)"), SCHEME, ("E5", Atom("p"), (), ()), ()),
+        "[root] Scheme: params are not a scheme, a formula and two tuples of formulas",
+    ),
+    (
+        Proof(parse_sequent("p, R(p) |- R(1)"), SCHEME, ("E1", Atom("p"), (), ()), (leaf("p |- p"),)),
+        "[root] Scheme: expects 0 premises, found 1",
+    ),
+    (
+        # a good scheme node fails where its derivation does, and is
+        # reported as its derivation's nodes, whose root is a Cut
+        Proof(parse_sequent("all x. x, R(all x. x) |- R(1)"), SCHEME, ("E1", parse_formula("all x. x"), (), ()), ()),
+        "[root] Cut: quantified formula in a propositional proof",
+    ),
+]
+
 
 @pytest.mark.parametrize(
     "checker, node, expected",
     [(check_pk, node, expected) for node, expected in CHECK_MESSAGES]
-    + [(check_g, node, expected) for node, expected in QUANTIFIER_MESSAGES],
+    + [(check_g, node, expected) for node, expected in QUANTIFIER_MESSAGES]
+    + [(check_pk, node, expected) for node, expected in SCHEME_MESSAGES],
 )
 def test_check_messages_are_pinned(checker, node, expected):
     errors = [e for e in checker(node) if e.path == ()]
