@@ -418,13 +418,23 @@ def free_atoms(f: Formula) -> frozenset[str]:
 
 
 def all_names(f: Formula) -> frozenset[str]:
-    """Every atom name occurring anywhere, free or bound, plus binder names."""
+    """Every atom name occurring anywhere, free or bound, plus binder
+    names.  Each distinct node is visited once."""
     out: set[str] = set()
-    for g in walk(f):
-        if isinstance(g, Atom):
+    seen = {f}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        kind = type(g)
+        if kind is Atom:
             out.add(g.name)
-        elif isinstance(g, (Forall, Exists)):
+            continue
+        if kind is Forall or kind is Exists:
             out.add(g.var)
+        for c in g._children():
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
     return frozenset(out)
 
 

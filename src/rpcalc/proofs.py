@@ -938,21 +938,35 @@ def _to_json(p: Proof, texts: dict[Formula, str], derived: dict[tuple, dict]) ->
     far in this dump to its derivation's JSON."""
     if _expands(p):
         return _chain_to_json(p, texts, derived)
-    if p.rule == SCHEME and (step := _scheme_step(p)) is not None:
-        data = derived.get(p.params)
-        if data is None:
-            values = [_text(f, texts) for f in _slots(*step, p.conclusion)]
-            data = derived[p.params] = _instantiate(_scheme_tree(p.params[0]), values, _node_json)
-        return data
-    params = {}
-    for key, value in p.params:
-        params[key] = _text(value, texts) if key in _FORMULA_PARAMS else value
+    if p.rule == SCHEME:
+        step = _scheme_step(p)
+        if step is not None:
+            data = derived.get(p.params)
+            if data is None:
+                values = [_text(f, texts) for f in _slots(*step, p.conclusion)]
+                data = derived[p.params] = _instantiate(_scheme_tree(p.params[0]), values, _node_json)
+            return data
+        params: Any = _value_json(p.params, texts)  # it stands for nothing: written as itself
+    else:
+        params = {}
+        for key, value in p.params:
+            params[key] = _text(value, texts) if key in _FORMULA_PARAMS else value
     return {
         "conclusion": syntax.join_sequent(*_cedent_texts(p.conclusion, texts)),
         "rule": p.rule,
         "params": params,
         "premises": [_to_json(q, texts, derived) for q in p.premises],
     }
+
+
+def _value_json(value: Any, texts: dict[Formula, str]) -> Any:
+    """value with each formula written as its text and each tuple or list
+    as a list."""
+    if isinstance(value, _FORMULAS):
+        return _text(value, texts)
+    if isinstance(value, (tuple, list)):
+        return [_value_json(v, texts) for v in value]
+    return value
 
 
 def _node_json(ante: list[str], succ: list[str], rule: str, params: tuple, premises: list[dict]) -> dict:

@@ -19,8 +19,11 @@ Any other character, non-ASCII ones included, is a ParseError.  The
 parser keeps its own operand and operator stacks, so it accepts nesting
 of any depth.  An R application whose arguments are all atoms and
 constants is read from its one slice of tokens, and each distinct slice
-is built once per parse.  parse_sequent_cached parses a sequent formula
-by formula through a dict that the caller keeps.
+is built once per parse.  A parenthesized group whose text occurred
+earlier in the same text is not tokenized again: it is one token that
+stands for the node its first occurrence gave.  parse_sequent_cached
+parses a sequent formula by formula through a dict that the caller
+keeps.
 
 The canonical printer makes one pass over the formula, on its own
 stack, and each node writes its text with fixed separators: "p & q",
@@ -40,7 +43,9 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from itertools import compress, count, islice, repeat
+from operator import sub
 from typing import Iterable, Optional, Union
 
 from .formulas import (
@@ -119,6 +124,96 @@ def tokenize(text: str) -> tuple[list[int], list[str]]:
     return kinds, texts
 
 
+# Each group holds an innermost group, so a text whose innermost groups
+# are all distinct repeats no group.
+_INNERMOST = re.compile(r"\([^()]*\)")
+_WORD_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+
+
+def _folded(text: str) -> Optional[tuple[list[int], list[str]]]:
+    """tokenize(text) with each repeated group folded into one token, or
+    None if the text repeats no group.
+
+    A group runs from "(" to its ")", or from its R when it is an R
+    application.  A later occurrence of a group's text is one WORD token
+    whose text is the group's text; the ")" of the first occurrence keeps
+    kind RPAREN but takes that text, and when it reduces, the climb files
+    the group's node under it for the later ones.  A repeat's tokens are
+    those of its first occurrence, because "(" and ")" are tokens of their
+    own wherever there is no comment: a text with "#" is not folded.
+
+    Only groups whose length occurs twice are keyed, and keying stops
+    after 4 * len(text) characters, so a deep nest of groups of equal
+    lengths stays linear."""
+    inner = _INNERMOST.findall(text)
+    if len(set(inner)) == len(inner) or "#" in text:
+        return None
+    # the groups in the order they open, as two arrays, so that there is
+    # no object per group: the index of each "(" and of its ")"
+    lefts = array("q")
+    rights = array("q", bytes(8 * text.count("(")))
+    opens = []  # numbers of the groups still open
+    find = text.find
+    left, right = find("("), find(")")
+    while right >= 0:
+        if 0 <= left < right:
+            opens.append(len(lefts))
+            lefts.append(left)
+            left = find("(", left + 1)
+        elif opens:
+            rights[opens.pop()] = right
+            right = find(")", right + 1)
+        else:
+            return None
+    if opens or left >= 0:
+        return None
+    lengths = Counter(map(sub, rights, lefts))
+    budget = 4 * len(text)
+    first: dict[str, int] = {}  # group text -> index of its first ")"
+    cuts = []  # (start, end, text): text[start:end + 1] becomes one token
+    skip = -1  # the ")" of the last repeat: groups inside it are not read
+    for open_, close in zip(lefts, rights):  # outer groups first
+        if open_ < skip or lengths[close - open_] < 2:
+            continue
+        start = open_
+        while start and text[start - 1] in " \t\r\n":
+            start -= 1
+        # only an R token opens an R application, not a word that ends in
+        # R (after a digit, R is a token, but no formula has one there)
+        if start and text[start - 1] == "R" and (start == 1 or text[start - 2] not in _WORD_CHARS):
+            start -= 1
+        else:
+            start = open_
+        key = text[start : close + 1]
+        budget -= len(key)
+        if budget < 0:
+            break
+        end = first.get(key)
+        if end is None:
+            first[key] = close
+        else:
+            cuts += ((start, close, key), (end, end, key))
+            skip = close
+    if not cuts:
+        return None
+    texts: list[str] = []
+    marks = []  # indices of the ")" tokens that close a first occurrence
+    at = 0
+    for start, close, key in sorted(set(cuts)):
+        texts += filter(None, _TOKEN.findall(text, at, start))
+        if start == close:
+            marks.append(len(texts))
+        texts.append(key)
+        at = close + 1
+    texts += filter(None, _TOKEN.findall(text, at))
+    kinds = list(map(_KINDS.get, texts, repeat(WORD)))
+    for i in marks:
+        kinds[i] = RPAREN
+    texts.append("")
+    kinds.append(EOF)
+    return kinds, texts
+
+
 def _bad_token(texts: list[str]) -> Optional[tuple[int, str]]:
     """The index and message of the first token that is not in the
     grammar's alphabet, if any."""
@@ -154,7 +249,8 @@ def _expected(what: str, texts: list[str], index: int) -> _Fail:
     return _Fail(index, f"expected {what}, found {texts[index] or 'end of input'!r}")
 
 
-# The tokens that end the run after "R(": all but atoms, constants and commas.
+# The tokens that end the run after "R(": all but words (atoms and folded
+# groups), constants and commas.
 _STOPS = {kind: kind not in (WORD, CONST, COMMA) for kind in range(BOTTOM, EOF + 1)}
 
 
@@ -190,11 +286,12 @@ def _climb(kinds: list[int], texts: list[str], sequent: bool) -> Union[Formula, 
     """Precedence climbing over explicit stacks: ops holds pending
     connectives, quantifiers and open groups, vals the operands.  A
     quantifier's body extends to the end of its group, so only a token
-    that closes a group reduces it."""
+    that closes a group reduces it.  A ")" whose text is not ")" closes
+    the first occurrence of a folded group (see _folded)."""
     ops = [BOTTOM]
     vals: list = []
     starts: list[int] = []  # vals heights where open R( argument lists begin
-    atoms: dict[str, Formula] = {}
+    names: dict[str, Formula] = {}  # atom name or folded group text -> node
     flat: dict[tuple[str, ...], Formula] = {}  # R( argument tokens ) -> RApp
     stops: Optional[array] = None  # indices of tokens that end a flat R( ... ), ascending
     ante: Optional[tuple[Formula, ...]] = None
@@ -206,9 +303,9 @@ def _climb(kinds: list[int], texts: list[str], sequent: bool) -> Union[Formula, 
             k = kinds[i]
             if k == WORD:
                 t = texts[i]
-                node = atoms.get(t)
+                node = names.get(t)
                 if node is None:
-                    node = atoms[t] = Atom(t)
+                    node = names[t] = Atom(t)
                 vals.append(node)
                 i += 1
                 break
@@ -222,8 +319,8 @@ def _climb(kinds: list[int], texts: list[str], sequent: bool) -> Union[Formula, 
             elif k == RSYM:
                 if kinds[i + 1] != LPAREN:
                     raise _Fail(i, "reserved name R used as an atom")
-                # R( with only atoms, constants and commas up to its ")":
-                # read from that one slice, once per distinct slice
+                # R( with only atoms, constants, folded groups and commas up
+                # to its ")": read from that one slice, once per distinct slice
                 if stops is None:
                     stops = array("q", compress(count(), map(_STOPS.__getitem__, kinds)))
                 j = stops[bisect_right(stops, i + 1)]
@@ -231,8 +328,10 @@ def _climb(kinds: list[int], texts: list[str], sequent: bool) -> Union[Formula, 
                     key = tuple(texts[i + 2 : j])
                     node = flat.get(key)
                     if node is None and _alternates(kinds, i + 2, j):
-                        node = flat[key] = RApp([_CONSTS[t] if t in _CONSTS else Atom(t) for t in key[::2]])
+                        node = flat[key] = RApp([_CONSTS.get(t) or names.get(t) or Atom(t) for t in key[::2]])
                     if node is not None:
+                        if texts[j] != ")":
+                            names[texts[j]] = node
                         vals.append(node)
                         i = j + 1
                         break
@@ -272,14 +371,14 @@ def _climb(kinds: list[int], texts: list[str], sequent: bool) -> Union[Formula, 
                     i += 1
                     break
                 raise _expected("')'" if top != BOTTOM else "end of input", texts, i)
-            if k == RPAREN and top == LPAREN:
-                ops.pop()
-            elif k == RPAREN and top == RSYM:
-                ops.pop()
-                start = starts.pop()
-                args = tuple(vals[start:])
-                del vals[start:]
-                vals.append(RApp(args))
+            if k == RPAREN and top != BOTTOM:
+                if ops.pop() == RSYM:
+                    start = starts.pop()
+                    args = tuple(vals[start:])
+                    del vals[start:]
+                    vals.append(RApp(args))
+                if texts[i] != ")":
+                    names[texts[i]] = vals[-1]
             elif top != BOTTOM:
                 raise _expected("')'", texts, i)
             elif k == TURNSTILE and ante is None and sequent:
@@ -295,7 +394,21 @@ def _climb(kinds: list[int], texts: list[str], sequent: bool) -> Union[Formula, 
             i += 1
 
 
-def _parse(text: str, kinds: list[int], texts: list[str], sequent: bool):
+def _parse(text: str, sequent: Optional[bool]) -> Union[Formula, Sequent]:
+    """The formula or sequent of text; with sequent None, a sequent if
+    the text has a turnstile.  A failure is reported from the tokens of
+    the whole text, as if nothing had been folded."""
+    # a repeat needs two groups; anything but a string fails as tokenize fails
+    if type(text) is str and text.count("(") > 1:
+        folded = _folded(text)
+        if folded is not None:
+            try:
+                return _climb(*folded, TURNSTILE in folded[0] if sequent is None else sequent)
+            except (_Fail, ValueError):
+                pass
+    kinds, texts = tokenize(text)
+    if sequent is None:
+        sequent = TURNSTILE in kinds
     try:
         return _climb(kinds, texts, sequent)
     except (_Fail, ValueError) as exc:
@@ -312,11 +425,11 @@ def _parse(text: str, kinds: list[int], texts: list[str], sequent: bool):
 
 
 def parse_formula(text: str) -> Formula:
-    return _parse(text, *tokenize(text), False)
+    return _parse(text, False)
 
 
 def parse_sequent(text: str) -> Sequent:
-    return _parse(text, *tokenize(text), True)
+    return _parse(text, True)
 
 
 def parse_sequent_cached(text: str, formulas: dict[str, Formula]) -> Sequent:
@@ -359,8 +472,7 @@ def _cedent(text: str, formulas: dict[str, Formula]) -> tuple[Formula, ...]:
 
 def parse_entry(text: str) -> Union[Formula, Sequent]:
     """Parse a formula or, if a turnstile is present, a sequent."""
-    kinds, texts = tokenize(text)
-    return _parse(text, kinds, texts, TURNSTILE in kinds)
+    return _parse(text, None)
 
 
 def iter_entries(text: str) -> list[tuple[int, str]]:

@@ -21,6 +21,7 @@ from rpcalc.formulas import (
     QuantifiedCostError,
     RApp,
     Sequent,
+    all_names,
     and_all,
     cost,
     cost_sequent,
@@ -254,6 +255,25 @@ def test_cached_measures_match_reference_walks(spec):
     assert length(f) == len(tokenize(format_formula(f))[0]) - 1
     assert set(key_set(f)) == reference_keys(f)
     assert semantics._keys(f) == tuple(sorted(reference_keys(f)))
+
+
+def reference_all_names(f):
+    """all_names by a walk over every occurrence."""
+    out = set()
+    for g in walk(f):
+        if isinstance(g, Atom):
+            out.add(g.name)
+        elif isinstance(g, (Forall, Exists)):
+            out.add(g.var)
+    return frozenset(out)
+
+
+@given(SPECS, SPECS)
+def test_all_names_matches_a_walk_over_every_occurrence(a, b):
+    f, g = build(a), build(b)
+    shared = And(RApp((f, g, f)), Forall("z", Or(g, f)))  # f and g occur twice
+    assert all_names(f) == reference_all_names(f)
+    assert all_names(shared) == reference_all_names(shared)
 
 
 @given(st.lists(SPECS, max_size=3), st.lists(SPECS, max_size=3))

@@ -584,6 +584,11 @@ def check_scheme_node(which, a, before, after, other):
         assert list(proofs.nodes(mutant))[0] == ((), mutant), name
         for check in (check_pk, check_g):
             assert [(e.path, e.rule) for e in check(mutant)] == [((), SCHEME)], name
+        # the dump writes the node as itself, and no file may hold one
+        text = dump_proof(mutant)
+        assert isinstance(text, str), name
+        with pytest.raises(proofs.ProofFormatError, match="unknown rule tag"):
+            load_proof(text)
 
 
 def test_the_prover_makes_each_scheme_one_node():
@@ -670,6 +675,15 @@ def test_json_rejects_garbage():
         load_proof('{"conclusion": "p |- p", "rule": "AxId", "params": ["ab"], "premises": []}')
     with pytest.raises(proofs.ProofFormatError, match="bad formula parameter formula: expected string"):
         load_proof('{"conclusion": "p |- p", "rule": "Cut", "params": {"formula": ["p"]}, "premises": []}')
+
+
+def test_a_scheme_node_that_stands_for_nothing_is_dumped_as_itself():
+    node = Proof(parse_sequent("p, R(p) |- R(1)"), SCHEME, ("E2", Atom("p"), (), ()), ())
+    assert [e.message for e in check_pk(node)] == ["conclusion is not the stated scheme's"]
+    text = dump_proof(node)
+    assert text == '{"conclusion":"p, R(p) |- R(1)","params":["E2","p",[],[]],"premises":[],"rule":"Scheme"}'
+    with pytest.raises(proofs.ProofFormatError, match="unknown rule tag 'Scheme'"):
+        load_proof(text)
 
 
 @given(st.one_of(token_strings, ascii_text))

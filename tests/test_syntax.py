@@ -9,7 +9,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from genlib import random_ast
-from rpcalc.formulas import And, Atom, Const, Exists, Forall, Not, Or, RApp
+from rpcalc import syntax
+from rpcalc.formulas import And, Atom, Const, Exists, Forall, Not, Or, RApp, and_all
 from rpcalc.syntax import (
     ParseError,
     format_entry,
@@ -252,6 +253,28 @@ def test_non_ascii_is_an_unexpected_character():
         assert str(err.value) == f"1:{col}: unexpected character {text[col - 1]!r}"
 
 
+@pytest.mark.parametrize("group", ["(p & q)", "R(p, ~q)", "(R(p, (q | r)) | ~(q & all x. R(x)))"])
+def test_a_repeated_group_is_read_once(monkeypatch, group):
+    # k copies joined by "&": the tokens of one copy, then "&" and one
+    # token for each repeat, then the end of input
+    received = []
+    climb = syntax._climb
+
+    def counting(kinds, texts, sequent):
+        received.append(len(kinds))
+        return climb(kinds, texts, sequent)
+
+    monkeypatch.setattr(syntax, "_climb", counting)
+    one = len(syntax.tokenize(group)[0]) - 1
+    node = parse_formula(group)
+    received.clear()
+    for k in (2, 3, 50):
+        text = " & ".join([group] * k)
+        assert parse_formula(text) is and_all([node] * k)
+        assert received == [one + 2 * (k - 1) + 1], text
+        received.clear()
+
+
 DEPTH = 100_000
 
 DEEP_CHAINS = """
@@ -275,6 +298,20 @@ for name, (text, node, wrap) in chains.items():
         node = wrap(node)
     assert parse_formula(text) is node, name
     assert parse_formula(format_formula(node)) is node, name
+    if name == "R(":
+        left = node
+# two distinct chains of one shape side by side: their groups pair up by
+# length, the worst case for reading each distinct group text once; the
+# second text also repeats an innermost group
+m = n // 2
+for _ in range(n - m):
+    left = left.args[0]
+right = q
+for _ in range(m):
+    right = RApp((right,))
+side = "R(" * m + "p" + ")" * m + " & " + "R(" * m + "q" + ")" * m
+assert parse_formula(side) is And(left, right), "side by side"
+assert parse_formula(side + " & (p)") is And(And(left, right), p), "side by side, (p)"
 print("ok")
 """
 

@@ -315,3 +315,49 @@ ascii_text = st.text(alphabet=string.printable + "\x00\x0b", max_size=40)
 @example("R(p, q) | R(p, q, ~r)")
 def test_parser_matches_reference(text):
     assert_agrees(text)
+
+
+# One group text repeated in several places.  The parser reads a group
+# whose text occurred earlier in the same call as one token (see
+# syntax._folded), so each place must give what the reference gives
+# there: an R argument list after R, with or without a space; a plain
+# group after a word that ends in R; an argument; an operand of ~.
+formula_texts = st.recursive(
+    st.sampled_from(["p", "q", "x", "0", "1", "R()", "R(p)", "R (p)", "R(p, q)", "(p)"]),
+    lambda inner: st.one_of(
+        inner.map("~{}".format),
+        st.tuples(inner, st.sampled_from([" & ", " | ", " => ", " <=> ", ", ", " |- "]), inner).map("".join),
+        st.tuples(inner, inner).map("R({0[0]}, {0[1]})".format),
+        inner.map("({})".format),
+        inner.map("all x. {}".format),
+    ),
+    max_leaves=6,
+)
+
+PLACES = ("{}", "R{}", "R {}", "xR{}", "R(p, {})", "R({}, q)", "~{}", "{} # c\n", "ex x. {}")
+JOINS = (" & ", " | ", " => ", ", ", " |- ", "\n& ", " ")
+
+
+@st.composite
+def repeated_groups(draw) -> str:
+    group = "(" + draw(st.one_of(formula_texts, token_strings)) + ")"
+    places = draw(st.lists(st.sampled_from(PLACES), min_size=2, max_size=4))
+    text = places[0].format(group)
+    for place in places[1:]:
+        text += draw(st.sampled_from(JOINS)) + place.format(group)
+    return text
+
+
+@given(repeated_groups())
+@settings(max_examples=800)
+@example("R (p) & (p)")
+@example("(p) & R (p)")
+@example("xR(p) & R(p)")
+@example("R() & R()")
+@example("(p) # (p)\n& (p)")
+@example("R(p, q) & (R(p, q))")
+@example("(p & q) & ~(p & q) & R((p & q), (p & q))")
+@example("(p |- q) & (p |- q)")
+@example("R(p) | R(p), R(p) |- R(p)")
+def test_repeated_groups_match_reference(text):
+    assert_agrees(text)
